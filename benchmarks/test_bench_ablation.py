@@ -13,7 +13,7 @@ import numpy as np
 from repro.analysis.report import render_table
 from repro.core.builder import BuilderOptions, MapBuilder
 from repro.measure.cache_probing import CacheProbingCampaign
-from repro.rand import substream
+from repro.par import ShardStreams
 from repro.services.hypergiants import GROUND_TRUTH_CDN_KEY
 
 
@@ -27,8 +27,8 @@ def test_bench_probe_budget_sweep(benchmark, scenario):
         campaign = CacheProbingCampaign(
             oracle=scenario.cache_oracle, gdns=scenario.gdns,
             services=services, prefix_ids=pids, rounds_per_day=rounds,
-            rng=substream(scenario.config.seed, "ablation-probe",
-                          str(rounds)))
+            streams=ShardStreams(scenario.config.seed,
+                                 ("ablation-probe", str(rounds))))
         result = campaign.run()
         return scenario.traffic.coverage_of_prefix_set(
             result.detected_prefixes(), GROUND_TRUTH_CDN_KEY)

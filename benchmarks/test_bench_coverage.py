@@ -11,7 +11,7 @@ routable /24 x top-20 domains — the heart of the measurement machinery.
 
 from repro.analysis.report import render_claims
 from repro.measure.cache_probing import CacheProbingCampaign
-from repro.rand import substream
+from repro.par import ShardStreams
 
 
 def test_bench_cache_probing_campaign(benchmark, scenario, claims):
@@ -25,7 +25,8 @@ def test_bench_cache_probing_campaign(benchmark, scenario, claims):
                 config.probe_top_k_domains),
             prefix_ids=scenario.routable_prefix_ids(),
             rounds_per_day=config.probe_rounds_per_day,
-            rng=substream(scenario.config.seed, "bench-probe")).run()
+            streams=ShardStreams(scenario.config.seed,
+                                 ("bench-probe",))).run()
 
     result = benchmark.pedantic(run_campaign, rounds=3, iterations=1)
     assert len(result.detected_prefixes()) > 0

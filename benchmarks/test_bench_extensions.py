@@ -24,6 +24,7 @@ from repro.measure.catchment_probe import VerfploeterCampaign
 from repro.measure.resolver_assoc import (PageMeasurementCampaign,
                                           attribute_rootlog_volume)
 from repro.measure.rootlogs import RootLogCrawler
+from repro.par import ShardStreams
 from repro.rand import substream
 from repro.services.hypergiants import GROUND_TRUTH_CDN_KEY
 
@@ -100,7 +101,7 @@ def test_bench_verfploeter(benchmark, scenario):
     def run():
         campaign = VerfploeterCampaign(
             model, scenario.prefixes,
-            substream(scenario.config.seed, "bench-verf"))
+            ShardStreams(scenario.config.seed, ("bench-verf",)))
         return campaign.run(scenario.user_prefix_ids())
 
     measurement = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -14,6 +14,7 @@ from repro.analysis.report import render_table
 from repro.core.change_detection import detect_activity_changes
 from repro.core.routes_common import CommonRouteEstimator
 from repro.measure.cache_probing import CacheProbingCampaign
+from repro.par import ShardStreams
 from repro.rand import substream
 from repro.services.dnsinfra import CacheOracle
 
@@ -23,7 +24,8 @@ def _campaign(scenario, oracle, label):
         oracle=oracle, gdns=scenario.gdns,
         services=scenario.catalog.top_by_popularity(10),
         prefix_ids=scenario.routable_prefix_ids(), rounds_per_day=12,
-        rng=substream(scenario.config.seed, "bench-op", label)).run()
+        streams=ShardStreams(scenario.config.seed,
+                             ("bench-op", label))).run()
 
 
 def test_bench_anomaly_detection(benchmark, scenario, itm):

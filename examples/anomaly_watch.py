@@ -20,7 +20,7 @@ from repro.analysis.report import render_table
 from repro.core.builder import MapBuilder
 from repro.core.change_detection import detect_activity_changes
 from repro.measure.cache_probing import CacheProbingCampaign
-from repro.rand import substream
+from repro.par import ShardStreams
 from repro.services.dnsinfra import CacheOracle
 
 
@@ -29,7 +29,7 @@ def campaign(scenario, oracle, label, seed):
         oracle=oracle, gdns=scenario.gdns,
         services=scenario.catalog.top_by_popularity(10),
         prefix_ids=scenario.routable_prefix_ids(), rounds_per_day=12,
-        rng=substream(seed, "anomaly", label)).run()
+        streams=ShardStreams(seed, ("anomaly", label))).run()
 
 
 def main(seed: int = 20211110) -> None:

@@ -16,7 +16,9 @@ Contracts:
   (``map_path_length_contrast``, ``OutageImpactAnalyzer``,
   ``anycast_site_candidates``). Array insertion order mirrors the dicts'
   insertion order, so even float accumulation order is preserved.
-  Regression-locked by ``tests/test_mapstore.py``.
+  Regression-locked by ``tests/test_mapstore.py``. The service list
+  itself is sorted, so a store answers byte-identically whether built
+  from a fresh map or from its artefact.
 * **Immutability** — a store never mutates after :meth:`from_map`;
   concurrent readers need no locks, which is what makes the
   :class:`repro.serve.service.MapService` hot swap a single reference
@@ -130,7 +132,9 @@ OutageImpactAnalyzer` needs; without it outage queries raise. The map's
         # -- services: per-service user->host columns --------------------
         services = itm.services
         self.unmapped_services = tuple(services.unmapped_services)
-        self.service_keys = tuple(services.user_to_host)
+        # Sorted, not insertion order: a fresh build and its (sort_keys)
+        # artefact share a digest, so they must list services alike.
+        self.service_keys = tuple(sorted(services.user_to_host))
         self._svc_index = {key: i for i, key in
                            enumerate(self.service_keys)}
         self.svc_clients: List[np.ndarray] = []
@@ -317,8 +321,8 @@ OutageImpactAnalyzer` needs; without it outage queries raise. The map's
         return self._route_dst_unique.copy()
 
     def services_mapping_prefix(self, pid: int) -> List[str]:
-        """Service keys whose user→host mapping covers a prefix, in the
-        map's service order."""
+        """Service keys whose user→host mapping covers a prefix, in
+        sorted order."""
         return [key for i, key in enumerate(self.service_keys)
                 if self.host_for_user(key, pid) is not None]
 

@@ -216,20 +216,17 @@ class CacheProbingCampaign:
     flight (``probe_loss``), thinning the per-cell trial counts. Both
     apply the plan's retry policy before giving a unit up.
 
-    Execution paths: with ``streams`` the sweep is decomposed into
-    fixed-size prefix shards, each drawing from its own substream — the
-    builder's path, bit-identical for any worker count of the optional
-    ``executor``. Without ``streams`` the legacy single-stream sweep runs
-    off ``rng``.
+    The sweep is decomposed into fixed-size prefix shards, each drawing
+    from its own substream of ``streams``; results are bit-identical for
+    any worker count of the optional ``executor``. Without one the shards
+    run inline, exactly as the builder runs them at ``workers=1``.
     """
 
     def __init__(self, oracle: CacheOracle, gdns: GoogleDnsModel,
                  services: Sequence[Service], prefix_ids: np.ndarray,
-                 rounds_per_day: int,
-                 rng: Optional[np.random.Generator] = None,
+                 rounds_per_day: int, streams: ShardStreams,
                  faults: Optional[FaultContext] = None,
                  recorder: Optional[Recorder] = None,
-                 streams: Optional[ShardStreams] = None,
                  executor: Optional[CampaignExecutor] = None) -> None:
         if rounds_per_day < 1:
             raise MeasurementError("need at least one probe round")
@@ -237,15 +234,11 @@ class CacheProbingCampaign:
             raise MeasurementError("no prefixes to probe")
         if not services:
             raise MeasurementError("no domains to probe")
-        if rng is None and streams is None:
-            raise MeasurementError("need either rng or streams")
         self._oracle = oracle
         self._gdns = gdns
-        self._services = list(services)
-        self._sids = [s.sid for s in self._services]
+        self._sids = [s.sid for s in services]
         self._prefix_ids = np.asarray(prefix_ids, dtype=int)
         self._rounds = rounds_per_day
-        self._rng = rng
         self._faults = faults
         self._recorder = resolve_recorder(recorder)
         self._streams = streams
@@ -256,11 +249,9 @@ class CacheProbingCampaign:
     def run(self) -> CacheProbingResult:
         """Issue all probes (vectorised Bernoulli sampling)."""
         with self._recorder.span(f"measure.{CACHE_PROBING_CAMPAIGN}"):
-            if self._streams is not None:
-                return self._run_sharded()
             return self._run()
 
-    def _run_sharded(self) -> CacheProbingResult:
+    def _run(self) -> CacheProbingResult:
         rec = self._recorder
         executor = self._executor or CampaignExecutor(recorder=rec)
         shards = executor.run(_probe_shard, self, self._shard_plan.n_shards,
@@ -296,48 +287,6 @@ class CacheProbingCampaign:
         return CacheProbingResult(
             prefix_ids=pids,
             service_sids=tuple(self._sids),
-            hits=hits,
-            rounds=self._rounds,
-            pop_of_prefix=self._gdns.pop_of_prefix[pids],
-        )
-
-    def _run(self) -> CacheProbingResult:
-        rec = self._recorder
-        sids = [s.sid for s in self._services]
-        pids = self._prefix_ids
-        scope = (self._faults.campaign(CACHE_PROBING_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.RESOLVER_TIMEOUT):
-            answered = scope.survive_mask(FaultKind.RESOLVER_TIMEOUT,
-                                          len(pids))
-            pids = pids[answered]
-            if pids.size == 0:
-                raise MeasurementError(
-                    "every probed prefix timed out at the resolver")
-        rec.count(f"measure.{CACHE_PROBING_CAMPAIGN}.prefixes_probed",
-                  len(pids))
-        probabilities = self._oracle.hit_probability_matrix(sids, pids)
-        probes_sent = self._rounds * int(np.prod(probabilities.shape))
-        rec.count(f"measure.{CACHE_PROBING_CAMPAIGN}.probes_sent",
-                  probes_sent)
-        if scope is not None and scope.active(FaultKind.PROBE_LOSS):
-            delivered = scope.thin_rounds(FaultKind.PROBE_LOSS,
-                                          self._rounds,
-                                          probabilities.shape)
-            delivered_total = int(delivered.sum())
-            hits = self._rng.binomial(delivered, probabilities)
-        else:
-            delivered_total = probes_sent
-            hits = self._rng.binomial(self._rounds, probabilities)
-        rec.count(f"measure.{CACHE_PROBING_CAMPAIGN}.probes_delivered",
-                  delivered_total)
-        rec.count(f"measure.{CACHE_PROBING_CAMPAIGN}.probes_dropped",
-                  probes_sent - delivered_total)
-        rec.count(f"measure.{CACHE_PROBING_CAMPAIGN}.cache_hits",
-                  int(hits.sum()))
-        return CacheProbingResult(
-            prefix_ids=pids,
-            service_sids=tuple(sids),
             hits=hits,
             rounds=self._rounds,
             pop_of_prefix=self._gdns.pop_of_prefix[pids],

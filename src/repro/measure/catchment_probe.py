@@ -107,26 +107,22 @@ class VerfploeterCampaign:
     replies) are lost in flight (``probe_loss``) on top of ordinary
     ICMP non-response, shrinking the measured catchments.
 
-    With ``streams`` the target list is split into fixed-size shards,
-    each drawing from its own substream (the builder's path — results
-    bit-identical for any worker count of the optional ``executor``);
-    with ``rng`` the legacy single-stream sweep runs.
+    The sorted target list is split into fixed-size shards, each drawing
+    from its own substream of ``streams``; results are bit-identical for
+    any worker count of the optional ``executor``. Without one the shards
+    run inline, exactly as the builder runs them at ``workers=1``.
     """
 
     def __init__(self, model: AnycastModel, prefix_table: PrefixTable,
-                 rng: Optional[np.random.Generator] = None,
+                 streams: ShardStreams,
                  response_rate: float = DEFAULT_RESPONSE_RATE,
                  faults: Optional[FaultContext] = None,
                  recorder: Optional[Recorder] = None,
-                 streams: Optional[ShardStreams] = None,
                  executor: Optional[CampaignExecutor] = None) -> None:
         if not 0.0 < response_rate <= 1.0:
             raise MeasurementError("response_rate must be in (0, 1]")
-        if rng is None and streams is None:
-            raise MeasurementError("need either rng or streams")
         self._model = model
         self._prefixes = prefix_table
-        self._rng = rng
         self._response_rate = response_rate
         self._faults = faults
         self._recorder = resolve_recorder(recorder)
@@ -135,11 +131,9 @@ class VerfploeterCampaign:
 
     def run(self, target_pids: np.ndarray) -> CatchmentMeasurement:
         with self._recorder.span(f"measure.{CATCHMENT_CAMPAIGN}"):
-            if self._streams is not None:
-                return self._run_sharded(target_pids)
             return self._run(target_pids)
 
-    def _run_sharded(self, target_pids: np.ndarray) -> CatchmentMeasurement:
+    def _run(self, target_pids: np.ndarray) -> CatchmentMeasurement:
         targets = np.sort(np.asarray(target_pids, dtype=int))
         if len(targets) == 0:
             raise MeasurementError("no targets to probe")
@@ -160,27 +154,6 @@ class VerfploeterCampaign:
                   len(targets))
         rec.count(f"measure.{CATCHMENT_CAMPAIGN}.replies_received",
                   replies)
-        return CatchmentMeasurement(
-            prefix_ids=targets, site_of_prefix=sites,
-            site_count=len(self._model.sites))
-
-    def _run(self, target_pids: np.ndarray) -> CatchmentMeasurement:
-        targets = np.sort(np.asarray(target_pids, dtype=int))
-        if len(targets) == 0:
-            raise MeasurementError("no targets to probe")
-        responds = self._rng.random(len(targets)) < self._response_rate
-        scope = (self._faults.campaign(CATCHMENT_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.PROBE_LOSS):
-            responds &= scope.survive_mask(FaultKind.PROBE_LOSS,
-                                           len(targets))
-        mapped = _site_lookup(self._model, self._prefixes.asn_array[targets])
-        sites = np.where(responds, mapped, -1).astype(np.int32)
-        rec = self._recorder
-        rec.count(f"measure.{CATCHMENT_CAMPAIGN}.probes_sent",
-                  len(targets))
-        rec.count(f"measure.{CATCHMENT_CAMPAIGN}.replies_received",
-                  int(responds.sum()))
         return CatchmentMeasurement(
             prefix_ids=targets, site_of_prefix=sites,
             site_count=len(self._model.sites))

@@ -105,10 +105,10 @@ class EcsMapper:
     spent, the affected client prefixes simply have no answer (-1) —
     exactly the partial coverage the paper warns rate limits cause.
 
-    With an ``executor`` the sweep runs sharded over fixed-size client
-    blocks (every shard visiting the services in catalogue order), which
-    is the builder's path: results are bit-identical for any worker
-    count. Without one the legacy whole-table sweep runs.
+    The sweep runs over fixed-size client blocks, every shard visiting
+    the services in catalogue order, so results are bit-identical for any
+    worker count of the optional ``executor``. Without one the shards run
+    inline, exactly as the builder runs them at ``workers=1``.
     """
 
     def __init__(self, authoritative: AuthoritativeDns,
@@ -124,57 +124,17 @@ class EcsMapper:
         self._recorder = resolve_recorder(recorder)
         self._executor = executor
 
-    def map_service(self, service: Service,
-                    client_pids: np.ndarray) -> Optional[ServiceMappingResult]:
-        """Map one service; None if the technique cannot cover it."""
-        if not service.ecs_supported:
-            return None
-        if service.redirection is not RedirectionScheme.DNS:
-            return None
-        self._recorder.count(
-            f"measure.{ECS_MAPPING_CAMPAIGN}.queries_sent",
-            len(client_pids))
-        answers = self._auth.resolve_ecs_batch(service.key, client_pids)
-        scope = (self._faults.campaign(ECS_MAPPING_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.ECS_RATE_LIMIT):
-            answered = scope.survive_mask(FaultKind.ECS_RATE_LIMIT,
-                                          len(answers))
-            answers = np.where(answered, answers, -1)
-        return ServiceMappingResult(
-            service_key=service.key,
-            client_pids=np.asarray(client_pids, dtype=int),
-            answer_pids=answers)
-
     def run(self, client_pids: np.ndarray,
             services: Optional[List[Service]] = None) -> EcsMappingResult:
-        with self._recorder.span(f"measure.{ECS_MAPPING_CAMPAIGN}"):
-            return self._run(client_pids, services)
-
-    def _run(self, client_pids: np.ndarray,
-             services: Optional[List[Service]]) -> EcsMappingResult:
+        """Map every service the technique covers; services without ECS
+        support or DNS redirection are listed as uncovered."""
         targets = services if services is not None else \
             self._catalog.services
-        if self._executor is not None:
-            return self._run_sharded(client_pids, targets)
-        per_service: Dict[str, ServiceMappingResult] = {}
-        uncovered: List[str] = []
-        for service in targets:
-            result = self.map_service(service, client_pids)
-            if result is None:
-                uncovered.append(service.key)
-            else:
-                per_service[service.key] = result
-        rec = self._recorder
-        rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.services_mapped",
-                  len(per_service))
-        rec.count(f"measure.{ECS_MAPPING_CAMPAIGN}.services_uncovered",
-                  len(uncovered))
-        return EcsMappingResult(per_service=per_service,
-                                uncovered_services=uncovered)
+        with self._recorder.span(f"measure.{ECS_MAPPING_CAMPAIGN}"):
+            return self._run(client_pids, targets)
 
-    def _run_sharded(self, client_pids: np.ndarray,
-                     targets: List[Service]) -> EcsMappingResult:
+    def _run(self, client_pids: np.ndarray,
+             targets: List[Service]) -> EcsMappingResult:
         pids = np.asarray(client_pids, dtype=int)
         covered = [s for s in targets
                    if s.ecs_supported and

@@ -103,10 +103,11 @@ def _crawl_shard(payload: Tuple["RootLogCrawler", List[str]],
 class RootLogCrawler:
     """Crawls whatever root logs are publicly usable.
 
-    With an ``executor`` each usable root is its own shard (truncation
-    draws bind to the root, per-root subtotals merged in root-letter
-    order) — the builder's path, bit-identical for any worker count.
-    Without one the legacy single-pass crawl runs.
+    Each usable root is its own shard (truncation draws bind to the
+    root, per-root subtotals merged in root-letter order), so results are
+    bit-identical for any worker count of the optional ``executor``.
+    Without one the shards run inline, exactly as the builder runs them
+    at ``workers=1``.
     """
 
     def __init__(self, archive: RootLogArchive,
@@ -124,15 +125,15 @@ class RootLogCrawler:
 
     def run(self) -> RootLogCrawlResult:
         with self._recorder.span(f"measure.{ROOTLOG_CAMPAIGN}"):
-            if self._executor is not None:
-                return self._run_sharded()
             return self._run()
 
-    def _run_sharded(self) -> RootLogCrawlResult:
+    def _run(self) -> RootLogCrawlResult:
         letters = [root.letter for root in self._archive.roots
                    if root.logs_usable]
-        shards = self._executor.run(_crawl_shard, (self, letters),
-                                    len(letters), ROOTLOG_CAMPAIGN)
+        rec = self._recorder
+        executor = self._executor or CampaignExecutor(recorder=rec)
+        shards = executor.run(_crawl_shard, (self, letters), len(letters),
+                              ROOTLOG_CAMPAIGN)
         scope = (self._faults.campaign(ROOTLOG_CAMPAIGN)
                  if self._faults is not None else None)
         volume: Dict[int, float] = {}
@@ -149,47 +150,6 @@ class RootLogCrawler:
                     volume[asn] = volume.get(asn, 0.0) + count
             if scope is not None and state is not None:
                 scope.merge_state(state)
-        rec = self._recorder
-        rec.count(f"measure.{ROOTLOG_CAMPAIGN}.roots_crawled", crawled)
-        rec.count(f"measure.{ROOTLOG_CAMPAIGN}.roots_truncated", truncated)
-        rec.count(f"measure.{ROOTLOG_CAMPAIGN}.resolver_ases_seen",
-                  len(volume))
-        return RootLogCrawlResult(
-            volume_by_as=volume,
-            roots_crawled=crawled,
-            roots_total=len(self._archive.roots),
-            public_resolver_volume=public_volume,
-            min_query_threshold=self._threshold,
-            roots_truncated=truncated,
-        )
-
-    def _run(self) -> RootLogCrawlResult:
-        volume: Dict[int, float] = {}
-        public_volume = 0.0
-        crawled = 0
-        truncated = 0
-        scope = (self._faults.campaign(ROOTLOG_CAMPAIGN)
-                 if self._faults is not None else None)
-        for root in self._archive.roots:
-            if not root.logs_usable:
-                continue
-            if scope is not None and \
-                    scope.active(FaultKind.ROOTLOG_TRUNCATION) and \
-                    not scope.survive(FaultKind.ROOTLOG_TRUNCATION):
-                # This root's feed is truncated for the whole crawl
-                # window; re-fetches (retries) already failed.
-                truncated += 1
-                continue
-            crawled += 1
-            for entry in self._archive.entries_for(root.letter):
-                if entry.is_public_resolver:
-                    # 8.8.8.8-style resolvers: the clients behind them are
-                    # not in the resolver's AS; volume is unattributable.
-                    public_volume += entry.query_count
-                    continue
-                volume[entry.resolver_asn] = (
-                    volume.get(entry.resolver_asn, 0.0) + entry.query_count)
-        rec = self._recorder
         rec.count(f"measure.{ROOTLOG_CAMPAIGN}.roots_crawled", crawled)
         rec.count(f"measure.{ROOTLOG_CAMPAIGN}.roots_truncated", truncated)
         rec.count(f"measure.{ROOTLOG_CAMPAIGN}.resolver_ases_seen",

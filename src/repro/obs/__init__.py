@@ -23,8 +23,7 @@ from .live import (ACCESS_LOG_FIELDS, BUCKET_BOUNDS, BUCKET_GROWTH,
                    OUTCOMES, WINDOW_SECONDS, AccessLog, Histogram,
                    LiveTelemetry, RollingWindow, aggregate_access_log,
                    classify_status, load_access_log, render_prometheus)
-from .manifest import (FORMAT_VERSION, KNOWN_CAMPAIGNS,
-                       SUPPORTED_FORMAT_VERSIONS, CampaignRecord,
+from .manifest import (FORMAT_VERSION, KNOWN_CAMPAIGNS, CampaignRecord,
                        RunManifest, collect_manifest, config_digest,
                        fault_plan_digest, options_digest,
                        validate_manifest)
@@ -61,7 +60,6 @@ __all__ = [
     "STATUS_REGRESSION",
     "STATUS_WARN",
     "StageTiming",
-    "SUPPORTED_FORMAT_VERSIONS",
     "aggregate_access_log",
     "classify_status",
     "collect_manifest",

@@ -112,7 +112,7 @@ class Histogram:
     :data:`BUCKET_GROWTH` (values beyond the last boundary report the
     exact observed maximum).  The nearest-rank index is always within
     one order statistic of the interpolated position ``q * (count -
-    1)`` that :func:`repro.serve.loadgen.percentile` uses, which is
+    1)`` that ``np.percentile`` interpolates at, which is
     what keeps the two latency sources within one bucket of each other
     on identical, reasonably dense samples.
     """

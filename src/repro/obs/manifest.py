@@ -13,14 +13,8 @@ Schema (``format_version`` 5), field by field, is documented in
 counter invariants (e.g. per campaign ``units == delivered + giveups``,
 for checkpointed runs ``reused + recomputed == total`` stages, and for
 served runs ``offered == admitted + shed`` at the admission gate).
-Format 1 (pre-checkpointing), format 2 (pre-delta), format 3
-(pre-serving) and format 4 (pre-live-telemetry) manifests are still
-accepted; the optional ``checkpoint`` lineage section needs format 2+,
-the optional ``delta`` lineage section (incremental builds,
-``docs/delta.md``) format 3+, the optional ``serve`` section
-(query-service resilience counters, ``docs/serving.md``) format 4+,
-and its ``serve.latency`` histogram summaries (live telemetry,
-``repro.obs.live``) format 5.
+Only the current format is accepted: a manifest written by an older
+release is rejected, and regenerating it is the upgrade path.
 """
 
 from __future__ import annotations
@@ -36,12 +30,6 @@ from ..errors import ValidationError
 from .recorder import Recorder, StageTiming
 
 FORMAT_VERSION = 5
-
-# Format 1 predates the checkpoint-lineage section, format 2 the delta
-# section, format 3 the serve section, format 4 the serve.latency
-# histogram summaries; all remain readable. Writers always emit
-# FORMAT_VERSION.
-SUPPORTED_FORMAT_VERSIONS = (1, 2, 3, 4, FORMAT_VERSION)
 
 # The eleven measurement campaigns of repro.measure, by their canonical
 # names. Kept as literals (not imports) so the manifest layer stays
@@ -567,8 +555,8 @@ def validate_manifest(payload: Dict[str, object]) -> None:
         raise ValidationError("; ".join(errors))
 
     version = payload.get("format_version")
-    _check(errors, version in SUPPORTED_FORMAT_VERSIONS,
-           f"format_version must be one of {SUPPORTED_FORMAT_VERSIONS}")
+    _check(errors, version == FORMAT_VERSION,
+           f"format_version must be {FORMAT_VERSION}, got {version!r}")
     _check(errors, isinstance(payload.get("seed"), int),
            "seed must be an integer")
     config_hash = payload.get("config_hash")
@@ -656,14 +644,10 @@ def validate_manifest(payload: Dict[str, object]) -> None:
 
     checkpoint = payload.get("checkpoint")
     if checkpoint is not None:
-        _check(errors, isinstance(version, int) and version >= 2,
-               "checkpoint lineage requires format_version >= 2")
         _validate_checkpoint(errors, checkpoint)
 
     delta = payload.get("delta")
     if delta is not None:
-        _check(errors, isinstance(version, int) and version >= 3,
-               "delta lineage requires format_version >= 3")
         _check(errors, checkpoint is not None,
                "delta lineage requires a checkpoint section (delta "
                "builds are checkpointed builds)")
@@ -671,11 +655,6 @@ def validate_manifest(payload: Dict[str, object]) -> None:
 
     serve = payload.get("serve")
     if serve is not None:
-        _check(errors, isinstance(version, int) and version >= 4,
-               "serve section requires format_version >= 4")
-        if isinstance(serve, dict) and serve.get("latency") is not None:
-            _check(errors, isinstance(version, int) and version >= 5,
-                   "serve.latency requires format_version >= 5")
         _validate_serve(errors, serve)
 
     if errors:

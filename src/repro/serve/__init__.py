@@ -31,8 +31,7 @@ plain HTTP/JSON using only the standard library:
 """
 
 from .chaos import ChaosEngine, run_chaos
-from .loadgen import (Query, percentile, replay, replay_http,
-                      seeded_queries)
+from .loadgen import Query, replay, replay_http, seeded_queries
 from .resilience import (AdmissionError, AdmissionGate, CircuitBreaker,
                          Deadline, DeadlineExpired, TokenBucket,
                          VirtualClock, serve_manifest_section)
@@ -56,7 +55,6 @@ __all__ = [
     "TokenBucket",
     "VirtualClock",
     "load_store",
-    "percentile",
     "replay",
     "replay_http",
     "run_chaos",

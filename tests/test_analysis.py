@@ -132,10 +132,10 @@ class TestReport:
 class TestRunReport:
     @pytest.fixture()
     def lineage_manifest(self):
-        """A format-2 manifest: checkpoint lineage + degraded coverage."""
+        """A manifest with checkpoint lineage + degraded coverage."""
         from repro.obs import RunManifest
         return RunManifest.from_dict({
-            "format_version": 2,
+            "format_version": 5,
             "seed": 7,
             "config_hash": "deadbeefdeadbeef",
             "created_unix": 100.0,

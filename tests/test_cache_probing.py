@@ -6,7 +6,7 @@ import pytest
 from repro.errors import MeasurementError
 from repro.measure.cache_probing import CacheProbingCampaign
 from repro.net.prefixes import PrefixKind
-from repro.rand import substream
+from repro.par import ShardStreams
 from repro.services.hypergiants import GROUND_TRUTH_CDN_KEY
 
 
@@ -72,7 +72,7 @@ class TestCampaign:
                 services=services,
                 prefix_ids=small_scenario.routable_prefix_ids(),
                 rounds_per_day=4,
-                rng=substream(77, "probe"))
+                streams=ShardStreams(77, ("probe",)))
             return campaign.run()
         a, b = run(), run()
         assert (a.hits == b.hits).all()
@@ -85,7 +85,7 @@ class TestCampaign:
                 services=small_scenario.catalog.top_by_popularity(10),
                 prefix_ids=small_scenario.routable_prefix_ids(),
                 rounds_per_day=rounds,
-                rng=substream(77, "probe"))
+                streams=ShardStreams(77, ("probe",)))
             return campaign.run().hits_per_prefix().sum()
         assert run(8) > run(2)
 
@@ -95,12 +95,12 @@ class TestCampaign:
             CacheProbingCampaign(small_scenario.cache_oracle,
                                  small_scenario.gdns, services,
                                  np.array([], dtype=int), 4,
-                                 substream(1, "x"))
+                                 ShardStreams(1, ("x",)))
         with pytest.raises(MeasurementError):
             CacheProbingCampaign(small_scenario.cache_oracle,
                                  small_scenario.gdns, [],
-                                 np.arange(5), 4, substream(1, "x"))
+                                 np.arange(5), 4, ShardStreams(1, ("x",)))
         with pytest.raises(MeasurementError):
             CacheProbingCampaign(small_scenario.cache_oracle,
                                  small_scenario.gdns, services,
-                                 np.arange(5), 0, substream(1, "x"))
+                                 np.arange(5), 0, ShardStreams(1, ("x",)))

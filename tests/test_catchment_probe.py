@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import MeasurementError
 from repro.measure.catchment_probe import VerfploeterCampaign
-from repro.rand import substream
+from repro.par import ShardStreams
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +17,7 @@ def model(small_scenario):
 @pytest.fixture(scope="module")
 def measurement(small_scenario, model):
     campaign = VerfploeterCampaign(model, small_scenario.prefixes,
-                                   substream(41, "verf"))
+                                   ShardStreams(41, ("verf",)))
     return campaign.run(small_scenario.user_prefix_ids())
 
 
@@ -59,7 +59,7 @@ class TestVerfploeter:
     def test_full_response_rate_covers_everything(self, small_scenario,
                                                   model):
         campaign = VerfploeterCampaign(model, small_scenario.prefixes,
-                                       substream(42, "verf2"),
+                                       ShardStreams(42, ("verf2",)),
                                        response_rate=1.0)
         result = campaign.run(small_scenario.user_prefix_ids()[:500])
         assert result.responsive_fraction() > 0.95
@@ -67,8 +67,8 @@ class TestVerfploeter:
     def test_rejects_bad_inputs(self, small_scenario, model):
         with pytest.raises(MeasurementError):
             VerfploeterCampaign(model, small_scenario.prefixes,
-                                substream(1, "x"), response_rate=0.0)
+                                ShardStreams(1, ("x",)), response_rate=0.0)
         campaign = VerfploeterCampaign(model, small_scenario.prefixes,
-                                       substream(1, "x"))
+                                       ShardStreams(1, ("x",)))
         with pytest.raises(MeasurementError):
             campaign.run(np.array([], dtype=int))

@@ -6,7 +6,7 @@ import pytest
 from repro.core.change_detection import detect_activity_changes
 from repro.errors import ValidationError
 from repro.measure.cache_probing import CacheProbingCampaign
-from repro.rand import substream
+from repro.par import ShardStreams
 from repro.services.dnsinfra import CacheOracle
 
 
@@ -16,7 +16,7 @@ def run_campaign(scenario, oracle, label):
         services=scenario.catalog.top_by_popularity(10),
         prefix_ids=scenario.routable_prefix_ids(),
         rounds_per_day=12,
-        rng=substream(71, "change", label))
+        streams=ShardStreams(71, ("change", label)))
     return campaign.run()
 
 
@@ -88,7 +88,7 @@ class TestDetection:
             oracle=small_scenario.cache_oracle, gdns=small_scenario.gdns,
             services=small_scenario.catalog.top_by_popularity(5),
             prefix_ids=small_scenario.routable_prefix_ids(),
-            rounds_per_day=12, rng=substream(71, "change", "odd")).run()
+            rounds_per_day=12, streams=ShardStreams(71, ("change", "odd"))).run()
         with pytest.raises(ValidationError):
             detect_activity_changes(baseline, other,
                                     small_scenario.prefixes)

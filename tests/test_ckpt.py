@@ -313,7 +313,8 @@ class TestManifestLineage:
     def test_rejects_lineage_on_format_1(self):
         payload = self._payload(self._lineage())
         payload["format_version"] = 1
-        with pytest.raises(ValidationError, match="requires format"):
+        with pytest.raises(ValidationError,
+                           match="format_version must be 5, got 1"):
             validate_manifest(payload)
 
     def test_rejects_malformed_quarantine_entries(self):

@@ -395,12 +395,12 @@ class TestManifestValidation:
                                  r"\['routes'\]"):
             validate_manifest(payload)
 
-    def test_delta_section_requires_format_3(self, delta_manifest):
+    def test_older_format_rejected(self, delta_manifest):
         import copy
         payload = copy.deepcopy(delta_manifest)
-        payload["format_version"] = 2
+        payload["format_version"] = 3
         with pytest.raises(ValidationError,
-                           match="delta lineage requires format_version"):
+                           match="format_version must be 5, got 3"):
             validate_manifest(payload)
 
     def test_delta_section_requires_checkpoint(self, delta_manifest):
@@ -423,11 +423,3 @@ class TestManifestValidation:
         assert "delta.mutation_count" in message
         assert "delta.input_digests" in message
         assert "both reused and recomputed" in message
-
-    def test_format_2_checkpoint_manifests_still_accepted(
-            self, delta_manifest):
-        import copy
-        payload = copy.deepcopy(delta_manifest)
-        payload["format_version"] = 2
-        del payload["delta"]
-        validate_manifest(payload)

@@ -15,6 +15,9 @@ SRC = REPO / "src" / "repro"
 # Markdown inline links: [text](target), ignoring images and footnotes.
 _MD_LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 
+# Fenced ```python blocks of a markdown document.
+_PY_BLOCK = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
+
 
 def all_modules():
     for path in sorted(SRC.rglob("*.py")):
@@ -53,6 +56,18 @@ class TestDocumentation:
                     broken.append(
                         f"{source.relative_to(REPO)} -> {target}")
         assert not broken, f"broken doc links: {broken}"
+
+    def test_tutorial_code_runs(self, tmp_path, monkeypatch):
+        """Every ``python`` block of docs/tutorial.md runs, in order, in
+        one shared namespace (the tour is one REPL session)."""
+        blocks = _PY_BLOCK.findall(
+            (REPO / "docs" / "tutorial.md").read_text())
+        assert len(blocks) >= 10
+        monkeypatch.chdir(tmp_path)   # the tour writes run.json, ckpt/
+        namespace = {"__name__": "tutorial"}
+        for i, block in enumerate(blocks):
+            exec(compile(block, f"docs/tutorial.md block {i}", "exec"),
+                 namespace)
 
     def test_design_has_experiment_index(self):
         text = (REPO / "DESIGN.md").read_text()

@@ -65,11 +65,11 @@ class TestEcsMapping:
             np.searchsorted(service_result.client_pids, clients)]
             == target).all()
 
-    def test_map_service_returns_none_for_anycast(self, small_scenario,
-                                                  mapper):
+    def test_anycast_service_uncovered(self, small_scenario, mapper):
         service = small_scenario.catalog.anycast_services()[0]
-        assert mapper.map_service(
-            service, small_scenario.routable_prefix_ids()) is None
+        only = mapper.run(small_scenario.routable_prefix_ids(), [service])
+        assert only.per_service == {}
+        assert only.uncovered_services == [service.key]
 
     def test_mapped_fraction_high_for_ecs_service(self, result):
         assert result.per_service["googol-video"].mapped_fraction() > 0.95

@@ -34,9 +34,9 @@ CONFIG_HASH = "deadbeefdeadbeef"
 
 
 def make_payload(**overrides):
-    """A minimal schema-valid format-2 manifest dict."""
+    """A minimal schema-valid manifest dict."""
     payload = {
-        "format_version": 2,
+        "format_version": 5,
         "seed": 1,
         "config_hash": CONFIG_HASH,
         "created_unix": 100.0,

@@ -15,6 +15,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +24,6 @@ from repro.obs import (ACCESS_LOG_FIELDS, BUCKET_BOUNDS, BUCKET_GROWTH,
                        RollingWindow, aggregate_access_log,
                        classify_status, load_access_log,
                        render_prometheus)
-from repro.serve import percentile
 
 # Durations inside the committed bucket range (0.1 ms .. 100 s); the
 # overflow bucket has its own test.
@@ -104,7 +104,8 @@ class TestHistogramProperties:
     @settings(max_examples=60, deadline=None)
     def test_quantile_within_one_bucket_of_loadgen_percentile(self, values):
         """The shared-fixture lock between the two latency sources: the
-        loadgen's interpolated percentile and the histogram's quantile
+        loadgen's interpolated percentile (``np.percentile``, numpy's
+        default linear method) and the histogram's quantile
         land between the same neighbouring order statistics, one bucket
         ratio of slack on top.  (The interpolated position q*(n-1) and
         the nearest-rank index ceil(q*n)-1 differ by at most one, so
@@ -114,7 +115,7 @@ class TestHistogramProperties:
         n = len(ordered)
         hist = _hist(values)
         for q in (0.5, 0.9, 0.99):
-            exact = percentile(values, q)
+            exact = np.percentile(values, q * 100)
             est = hist.quantile(q)
             lower = int(q * (n - 1))
             low = ordered[max(0, lower - 1)]

@@ -334,6 +334,19 @@ class TestServiceCacheAndSwap:
         same = MapStore.from_map(small_itm, graph=small_scenario.graph)
         assert service.swap(same) is False
 
+    def test_same_digest_same_outage_bytes(self, tmp_path, store,
+                                           small_itm, small_scenario):
+        """A built map and its artefact share a digest, so they must
+        serve byte-identical answers — service order included."""
+        artefact = tmp_path / "map.json"
+        artefact.write_text(map_to_json(small_itm))
+        loaded = load_store(str(artefact), small_scenario)
+        assert loaded.digest == store.digest
+        built, reloaded = MapService(store), MapService(loaded)
+        for asn in store.act_asns.tolist():
+            assert json.dumps(built.outage(asn=asn)) == \
+                json.dumps(reloaded.outage(asn=asn))
+
     def test_swap_visible_over_http(self, store, small_itm,
                                     small_scenario):
         service = MapService(store)

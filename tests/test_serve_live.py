@@ -289,7 +289,8 @@ class TestManifestValidation:
         from repro.errors import ValidationError
         payload = _serve_payload(latency=_latency_section())
         payload["format_version"] = 4
-        with pytest.raises(ValidationError, match="format_version >= 5"):
+        with pytest.raises(ValidationError,
+                           match="format_version must be 5, got 4"):
             validate_manifest(payload)
 
     def test_latency_count_sum_invariant(self):
