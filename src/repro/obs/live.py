@@ -110,11 +110,9 @@ class Histogram:
     the observed maximum.  The estimate therefore never undershoots
     that sample and overshoots it by at most a factor of
     :data:`BUCKET_GROWTH` (values beyond the last boundary report the
-    exact observed maximum).  The nearest-rank index is always within
-    one order statistic of the interpolated position ``q * (count -
-    1)`` that ``np.percentile`` interpolates at, which is
-    what keeps the two latency sources within one bucket of each other
-    on identical, reasonably dense samples.
+    exact observed maximum).  It is the repo's one latency estimator:
+    server histograms, the manifest and the loadgen summaries all read
+    their percentiles from here.
     """
 
     __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
@@ -232,7 +230,7 @@ class RollingWindow:
             self._slots[idx] = slot
         stats = slot[1].get(endpoint)
         if stats is None:
-            stats = {"outcomes": {}, "hist": Histogram()}
+            stats = _new_stats()
             slot[1][endpoint] = stats
         outcomes = stats["outcomes"]
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
@@ -247,37 +245,48 @@ class RollingWindow:
             if slot is None or slot[0] <= horizon or slot[0] > int(now):
                 continue
             for endpoint, stats in slot[1].items():
-                agg = merged.setdefault(
-                    endpoint, {"outcomes": {}, "hist": Histogram()})
-                for outcome, n in stats["outcomes"].items():
-                    agg["outcomes"][outcome] = (
-                        agg["outcomes"].get(outcome, 0) + n)
-                agg["hist"].merge(stats["hist"])
-        totals = {"outcomes": {}, "hist": Histogram()}
-        endpoints = {}
-        for endpoint in sorted(merged):
-            stats = merged[endpoint]
-            endpoints[endpoint] = self._entry(stats)
-            for outcome, n in stats["outcomes"].items():
-                totals["outcomes"][outcome] = (
-                    totals["outcomes"].get(outcome, 0) + n)
-            totals["hist"].merge(stats["hist"])
+                _fold(merged.setdefault(endpoint, _new_stats()), stats)
+        endpoints, totals = _window_entries(merged, self.window_s)
         return {"window_s": self.window_s, "endpoints": endpoints,
-                "totals": self._entry(totals)}
+                "totals": totals}
 
-    def _entry(self, stats: Dict[str, object]) -> Dict[str, object]:
+
+def _new_stats() -> Dict[str, object]:
+    return {"outcomes": {}, "hist": Histogram()}
+
+
+def _fold(into: Dict[str, object], stats: Dict[str, object]) -> None:
+    outcomes = into["outcomes"]
+    for outcome, n in stats["outcomes"].items():
+        outcomes[outcome] = outcomes.get(outcome, 0) + n
+    into["hist"].merge(stats["hist"])
+
+
+def _window_entries(merged: Dict[str, Dict[str, object]],
+                    rate_span_s: float) -> Tuple[Dict, Dict[str, object]]:
+    """Per-endpoint and total entries of a window aggregate; the live
+    window and the access log differ only in the qps denominator."""
+    def entry(stats: Dict[str, object]) -> Dict[str, object]:
         outcomes = stats["outcomes"]
         hist = stats["hist"]
         requests = sum(outcomes.values())
         shed = outcomes.get("shed", 0)
         return {
             "requests": requests,
-            "qps": round(requests / self.window_s, 3),
-            "shed_fraction": round(shed / requests, 4) if requests else 0.0,
+            "qps": round(requests / rate_span_s, 3),
+            "shed_fraction": (round(shed / requests, 4)
+                              if requests else 0.0),
             "outcomes": {k: outcomes[k] for k in sorted(outcomes)},
             "p50_ms": round(hist.quantile(0.5) * 1e3, 3),
             "p99_ms": round(hist.quantile(0.99) * 1e3, 3),
         }
+
+    totals = _new_stats()
+    endpoints = {}
+    for endpoint in sorted(merged):
+        endpoints[endpoint] = entry(merged[endpoint])
+        _fold(totals, merged[endpoint])
+    return endpoints, entry(totals)
 
 
 # Fields every access-log record carries, in the order the docs list
@@ -403,8 +412,7 @@ def aggregate_access_log(records: Iterable[Dict[str, object]])\
     for record in records:
         endpoint = str(record.get("endpoint", "other"))
         outcome = str(record.get("outcome", "error"))
-        stats = merged.setdefault(
-            endpoint, {"outcomes": {}, "hist": Histogram()})
+        stats = merged.setdefault(endpoint, _new_stats())
         stats["outcomes"][outcome] = stats["outcomes"].get(outcome, 0) + 1
         total += 1
         ts = record.get("ts")
@@ -415,34 +423,9 @@ def aggregate_access_log(records: Iterable[Dict[str, object]])\
         if outcome == "ok" and isinstance(latency_ms, (int, float)):
             stats["hist"].record(latency_ms / 1e3)
     span_s = max(0.0, last_ts - first_ts) if total else 0.0
-    rate_span = max(span_s, 1.0)
-
-    def entry(stats: Dict[str, object]) -> Dict[str, object]:
-        outcomes = stats["outcomes"]
-        hist = stats["hist"]
-        requests = sum(outcomes.values())
-        shed = outcomes.get("shed", 0)
-        return {
-            "requests": requests,
-            "qps": round(requests / rate_span, 3),
-            "shed_fraction": (round(shed / requests, 4)
-                              if requests else 0.0),
-            "outcomes": {k: outcomes[k] for k in sorted(outcomes)},
-            "p50_ms": round(hist.quantile(0.5) * 1e3, 3),
-            "p99_ms": round(hist.quantile(0.99) * 1e3, 3),
-        }
-
-    totals = {"outcomes": {}, "hist": Histogram()}
-    endpoints = {}
-    for endpoint in sorted(merged):
-        stats = merged[endpoint]
-        endpoints[endpoint] = entry(stats)
-        for outcome, n in stats["outcomes"].items():
-            totals["outcomes"][outcome] = (
-                totals["outcomes"].get(outcome, 0) + n)
-        totals["hist"].merge(stats["hist"])
+    endpoints, totals = _window_entries(merged, max(span_s, 1.0))
     return {"records": total, "span_s": round(span_s, 3),
-            "endpoints": endpoints, "totals": entry(totals)}
+            "endpoints": endpoints, "totals": totals}
 
 
 class LiveTelemetry:

@@ -27,7 +27,9 @@ Injection points (the serve-side ``FaultKind``\\ s):
 open-loop replay on a virtual clock — seeded Poisson arrivals, shed
 requests retried with jittered exponential backoff honoring the gate's
 retry hint — whose outcome counts are a pure function of
-``(map, queries, plan seed, chaos seed)``.
+``(map, queries, plan seed, chaos seed)``. Every attempt takes the
+server's own request path, :meth:`~repro.serve.service.MapService.handle`,
+so the harness follows its admission policy and outcome labels.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..faults import FaultContext, FaultKind, FaultPlan
+from ..obs.live import classify_status
 from ..obs.recorder import Recorder, resolve_recorder
 from ..rand import substream
-from .loadgen import Query, _dispatch
-from .resilience import AdmissionError, DeadlineExpired, VirtualClock
-from .service import MapService, QueryError
+from .loadgen import Query
+from .resilience import VirtualClock
+from .service import MapService
 
 #: Campaign name the engine's draws bind to (mirrored onto the recorder
 #: as ``faults.serve.*`` counters, like any build campaign).
@@ -160,23 +163,18 @@ def run_chaos(service: MapService, queries: Sequence[Query],
     # the run's inputs and same-seed runs stay bit-identical with
     # telemetry enabled. Observation never feeds back into scheduling.
     telemetry = service.telemetry
-
-    def observe(query: Query, label: str, started: float) -> None:
-        telemetry.observe(query.endpoint, label,
-                          clock.now() - started,
-                          request_id=telemetry.next_request_id(),
-                          digest=service.digest)
+    chaos = service.chaos
 
     while events:
         due, __, index, attempt = heapq.heappop(events)
         clock.advance(due - clock.now())
-        query = queries[index]
         started = clock.now()
-        try:
-            with service.admit():
-                _dispatch(service, query)
-        except AdmissionError as exc:
-            observe(query, "shed", started)
+        reply = service.handle(queries[index].url_path())
+        label = classify_status(reply.status)
+        telemetry.observe(reply.endpoint, label, clock.now() - started,
+                          request_id=telemetry.next_request_id(),
+                          digest=service.digest)
+        if reply.status == 429:
             outcome["shed"] += 1
             if attempt >= max_attempts:
                 outcome["giveups"] += 1
@@ -185,28 +183,22 @@ def run_chaos(service: MapService, queries: Sequence[Query],
                           backoff_base_s * (2.0 ** (attempt - 1)))
             # Full jitter on top of the server's hint: spread retries
             # out without ever retrying into the same refill window.
-            delay = exc.retry_after + float(jitter.random()) * backoff
+            delay = reply.retry_after + float(jitter.random()) * backoff
             outcome["retries"] += 1
             heapq.heappush(events,
                            (clock.now() + delay, sequence, index,
                             attempt + 1))
             sequence += 1
-            continue
-        except DeadlineExpired:
-            observe(query, "deadline", started)
-            outcome["deadline_expired"] += 1
-            continue
-        except QueryError:
-            observe(query, "error", started)
-            outcome["http_errors"] += 1
-            continue
-        observe(query, "ok", started)
-        chaos = service.chaos
-        if chaos is not None and chaos.client_disconnect():
+        elif reply.answered and chaos is not None \
+                and chaos.client_disconnect():
             outcome["disconnects"] += 1
-            continue
-        outcome["completed"] += 1
+        elif label == "ok":
+            outcome["completed"] += 1
+        elif label == "deadline":
+            outcome["deadline_expired"] += 1
+        else:
+            outcome["http_errors"] += 1
     outcome["duration_s"] = clock.now()
-    if service.chaos is not None:
-        outcome["chaos"] = service.chaos.counters()
+    if chaos is not None:
+        outcome["chaos"] = chaos.counters()
     return outcome

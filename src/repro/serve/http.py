@@ -11,11 +11,11 @@ deadline expired, 500 bugs). Every response carries the served map's
 digest in an ``X-Map-Digest`` header so a client can detect a hot swap
 mid-session.
 
-Query endpoints pass through :meth:`MapService.admit` (overload
-protection, ``docs/serving.md`` §resilience); the health probes
-(``/v1/health``, ``/v1/healthz``, ``/v1/readyz``) and the telemetry
-scrape (``/v1/metricsz``) bypass the gate so an overloaded or draining
-replica still answers its orchestrator and its monitoring.
+Every request but the ``/v1/metricsz`` scrape (answered here, ungated)
+goes through :meth:`MapService.handle`, the single request path the
+in-process replay and the chaos harness share: it parses, validates,
+admits and maps refusals to their status. The handler is transport
+only: the chaos client-disconnect check, the write, then observation.
 
 Every response also carries an ``X-Request-Id`` header (the inbound
 header value when the client sent one, a fresh sequential id
@@ -31,23 +31,12 @@ from __future__ import annotations
 import json
 import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs.live import classify_status
-from .resilience import AdmissionError
-from .service import MapService, QueryError
-
-#: Probe endpoints that bypass the admission gate: liveness, readiness
-#: and the telemetry scrape must answer even when the replica is
-#: saturated or draining.
-UNGATED_PATHS = ("/v1/health", "/v1/healthz", "/v1/readyz",
-                 "/v1/metricsz")
-
-#: Endpoint labels used for latency histograms and access logs; paths
-#: outside this set are folded into "other" to bound label cardinality.
-_ENDPOINT_LABELS = ("health", "healthz", "readyz", "map", "cdf",
-                    "outage", "anycast")
+from .service import (MapService, QueryError, Reply, _endpoint_label,
+                      _single)
 
 
 class QueryServer(ThreadingHTTPServer):
@@ -81,39 +70,6 @@ def serve_http(service: MapService, host: str = "127.0.0.1",
                        request_timeout=request_timeout)
 
 
-def _single(params: Dict[str, List[str]], name: str,
-            required: bool = False) -> Optional[str]:
-    values = params.get(name, [])
-    if len(values) > 1:
-        raise QueryError(400, f"parameter {name!r} given more than once")
-    if not values:
-        if required:
-            raise QueryError(400, f"missing required parameter {name!r}")
-        return None
-    return values[0]
-
-
-def _int_param(raw: str, name: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise QueryError(
-            400, f"parameter {name!r} must be an integer, "
-                 f"got {raw!r}") from None
-
-
-def _bool_param(raw: Optional[str], name: str) -> Optional[bool]:
-    if raw is None:
-        return None
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise QueryError(
-        400, f"parameter {name!r} must be true or false, got {raw!r}")
-
-
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
@@ -140,7 +96,6 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         service: MapService = self.server.service
         url = urlsplit(self.path)
-        params = parse_qs(url.query, keep_blank_values=True)
         telemetry = service.telemetry
         request_id = service.begin_request(self.headers.get("X-Request-Id"))
         if url.path == "/v1/metricsz":
@@ -149,66 +104,45 @@ class _Handler(BaseHTTPRequestHandler):
             # a scrape taken after the last query exactly matches the
             # manifest flushed at shutdown.
             try:
-                self._metricsz(service, params, request_id)
+                self._metricsz(service, url.query, request_id)
             finally:
                 service.end_request()
             return
         started = telemetry.now()
-        retry_after = None
         disconnected = False
         try:
             try:
-                if url.path in UNGATED_PATHS:
-                    answer = self._route(service, url.path, params)
-                else:
-                    with service.admit():
-                        answer = self._route(service, url.path, params)
-            except AdmissionError as exc:
-                status, answer = exc.status, {"error": str(exc)}
-                retry_after = exc.retry_after
-            except QueryError as exc:
-                status, answer = exc.status, {"error": str(exc)}
+                reply = service.handle(self.path)
             except Exception as exc:  # pragma: no cover - bug surface
-                status, answer = 500, {"error": f"internal error: {exc}"}
-            else:
-                status = 200
-                if url.path == "/v1/readyz" \
-                        and answer.get("status") != "ok":
-                    status = 503
-                chaos = service.chaos
-                if chaos is not None and chaos.client_disconnect():
-                    # The simulated client went away before the body:
-                    # abort the response and tear the connection down,
-                    # exactly the failure a real disconnect leaves
-                    # behind. The request still did the work, so it is
-                    # observed below with the status it computed.
-                    service._recorder.count(
-                        "serve.http.client_disconnects")
-                    self.close_connection = True
-                    disconnected = True
+                reply = Reply(500, {"error": f"internal error: {exc}"},
+                              _endpoint_label(url.path))
+            chaos = service.chaos
+            if reply.answered and chaos is not None \
+                    and chaos.client_disconnect():
+                # The simulated client went away before the body: abort
+                # the response and tear the connection down, exactly the
+                # failure a real disconnect leaves behind. The request
+                # still did the work, so it is observed below with the
+                # status it computed.
+                service._recorder.count("serve.http.client_disconnects")
+                self.close_connection = True
+                disconnected = True
             digest = service.digest
             elapsed = max(0.0, telemetry.now() - started)
             if not disconnected:
-                self._send(status, answer, digest,
-                           retry_after=retry_after,
+                self._send(reply.status, reply.body, digest,
+                           retry_after=reply.retry_after,
                            request_id=request_id)
-            telemetry.observe(self._endpoint_label(url.path),
-                              classify_status(status), elapsed,
-                              status=status, path=url.path,
+            telemetry.observe(reply.endpoint,
+                              classify_status(reply.status), elapsed,
+                              status=reply.status, path=url.path,
                               request_id=request_id, digest=digest)
         finally:
             service.end_request()
 
-    @staticmethod
-    def _endpoint_label(path: str) -> str:
-        name = path.rsplit("/", 1)[-1]
-        if path.startswith("/v1/") and name in _ENDPOINT_LABELS:
-            return name
-        return "other"
-
-    def _metricsz(self, service: MapService,
-                  params: Dict[str, List[str]],
+    def _metricsz(self, service: MapService, query: str,
                   request_id: Optional[str]) -> None:
+        params = parse_qs(query, keep_blank_values=True)
         try:
             fmt = _single(params, "format")
         except QueryError as exc:
@@ -232,37 +166,6 @@ class _Handler(BaseHTTPRequestHandler):
                    self.server.service.digest)
 
     do_PUT = do_DELETE = do_PATCH = do_POST
-
-    def _route(self, service: MapService, path: str,
-               params: Dict[str, List[str]]) -> Dict[str, Any]:
-        if path == "/v1/health":
-            return service.health()
-        if path == "/v1/healthz":
-            return service.alive()
-        if path == "/v1/readyz":
-            return service.ready()
-        if path == "/v1/map":
-            return service.map_summary()
-        if path == "/v1/cdf":
-            raw = _single(params, "as", required=True)
-            asns = [_int_param(part, "as")
-                    for part in raw.split(",") if part]
-            weighted = _bool_param(_single(params, "weighted"), "weighted")
-            return service.cdf(asns, weighted=weighted)
-        if path == "/v1/outage":
-            asn = _single(params, "asn")
-            hypergiant = _single(params, "hypergiant")
-            return service.outage(
-                asn=None if asn is None else _int_param(asn, "asn"),
-                hypergiant=hypergiant)
-        if path == "/v1/anycast":
-            service_key = _single(params, "service", required=True)
-            prefix = _int_param(_single(params, "prefix", required=True),
-                                "prefix")
-            k_raw = _single(params, "k")
-            k = 3 if k_raw is None else _int_param(k_raw, "k")
-            return service.anycast(service_key, prefix, k=k)
-        raise QueryError(404, f"unknown endpoint {path!r}")
 
     def _send(self, status: int, payload: Dict[str, Any],
               digest: str, retry_after: Optional[float] = None,

@@ -9,18 +9,21 @@ which is what makes the answer-cache hit counters deterministic and
 gateable.
 
 :func:`replay` drives a :class:`~repro.serve.service.MapService`
-in-process (measures the query layer alone); :func:`replay_http` drives
-a running server over ``urllib`` (measures the full transport), either
-closed-loop (next request waits for the previous answer) or open-loop
-(``open_loop_rate``: seeded Poisson arrivals fire on schedule no matter
-how slow the server is — the arrival pattern overload actually has).
+in-process through ``MapService.handle``, the request path the HTTP
+handler calls too (measures the query layer alone); :func:`replay_http`
+drives a running server over ``urllib`` (measures the full transport),
+either closed-loop (next request waits for the previous answer) or
+open-loop (``open_loop_rate``: seeded Poisson arrivals fire on schedule
+no matter how slow the server is — the arrival pattern overload
+actually has).
 Shed requests (HTTP 429) are retried with client-side jittered
 exponential backoff that honors the server's ``Retry-After`` hint.
 
 Both replays return the same summary shape: query counts, the outcome
 split (``http_errors`` / ``shed`` / ``retries``), wall time, qps
 (completed and errored round trips only — shed requests never count
-toward throughput), and latency percentiles in milliseconds.
+toward throughput), and :class:`repro.obs.live.Histogram` latency
+percentiles in milliseconds.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.mapstore import MapStore
+from ..obs.live import Histogram, classify_status
 from ..rand import substream
-from .resilience import AdmissionError, DeadlineExpired
-from .service import MapService, QueryError
+from .service import MapService
 
 #: Relative odds of each endpoint in a seeded stream. CDF dominates (it
 #: is the paper's headline query), health is the keep-alive noise floor.
@@ -115,11 +118,10 @@ def _summary(latencies_ns: List[int], wall_seconds: float,
     # Shed requests never produced an answer, so they carry no latency
     # sample and are excluded from throughput.
     count = len(latencies_ns)
-    # numpy's default linear interpolation keeps these within one bucket
-    # of the server-side repro.obs.live.Histogram quantiles on identical
-    # samples (locked by tests/test_obs_live.py).
-    p50, p90, p99 = (np.percentile(latencies_ns, (50, 90, 99)) / 1e6
-                     if count else (0.0, 0.0, 0.0))
+    # The server's estimator (one bucket ratio of error); max is exact.
+    hist = Histogram()
+    for latency_ns in latencies_ns:
+        hist.record(latency_ns / 1e9)
     return {
         "queries": count + shed,
         "http_errors": http_errors,
@@ -128,32 +130,12 @@ def _summary(latencies_ns: List[int], wall_seconds: float,
         "wall_seconds": wall_seconds,
         "qps": count / wall_seconds if wall_seconds > 0 else 0.0,
         "latency_ms": {
-            "p50": float(p50),
-            "p90": float(p90),
-            "p99": float(p99),
+            "p50": hist.quantile(0.5) * 1e3,
+            "p90": hist.quantile(0.9) * 1e3,
+            "p99": hist.quantile(0.99) * 1e3,
             "max": max(latencies_ns) / 1e6 if count else 0.0,
         },
     }
-
-
-def _dispatch(service: MapService, query: Query) -> Dict[str, Any]:
-    params = dict(query.params)
-    if query.endpoint == "health":
-        return service.health()
-    if query.endpoint == "map":
-        return service.map_summary()
-    if query.endpoint == "cdf":
-        asns = [int(part) for part in params["as"].split(",")]
-        return service.cdf(asns)
-    if query.endpoint == "outage":
-        asn = params.get("asn")
-        return service.outage(
-            asn=None if asn is None else int(asn),
-            hypergiant=params.get("hypergiant"))
-    if query.endpoint == "anycast":
-        return service.anycast(params["service"], int(params["prefix"]),
-                               k=int(params.get("k", 3)))
-    raise QueryError(400, f"unknown endpoint {query.endpoint!r}")
 
 
 def replay(service: MapService,
@@ -161,33 +143,27 @@ def replay(service: MapService,
     """Replay a stream against the service in-process; returns the
     latency/throughput summary plus the answer cache's counters.
 
-    With an admission gate attached, shed and deadline-expired requests
-    are counted (``shed`` / ``http_errors``) rather than retried — the
-    in-process replay is a microbenchmark, not a client."""
+    With an admission gate attached, shed requests are counted
+    (``shed``) rather than retried — the in-process replay is a
+    microbenchmark, not a client; any other refusal is an
+    ``http_errors`` round trip, as over HTTP."""
     latencies: List[int] = []
     http_errors = 0
     shed = 0
     telemetry = service.telemetry
     started = time.perf_counter()
     for query in queries:
-        outcome = "ok"
         t0 = time.perf_counter_ns()
-        try:
-            with service.admit():
-                _dispatch(service, query)
-        except AdmissionError:
-            telemetry.observe(query.endpoint, "shed",
-                              (time.perf_counter_ns() - t0) / 1e9,
-                              digest=service.digest)
+        reply = service.handle(query.url_path())
+        elapsed_ns = time.perf_counter_ns() - t0
+        outcome = classify_status(reply.status)
+        telemetry.observe(reply.endpoint, outcome, elapsed_ns / 1e9,
+                          digest=service.digest)
+        if outcome == "shed":
             shed += 1
             continue
-        except (QueryError, DeadlineExpired) as exc:
-            outcome = ("deadline" if getattr(exc, "status", None) == 504
-                       else "error")
+        if outcome != "ok":
             http_errors += 1
-        elapsed_ns = time.perf_counter_ns() - t0
-        telemetry.observe(query.endpoint, outcome, elapsed_ns / 1e9,
-                          digest=service.digest)
         latencies.append(elapsed_ns)
     summary = _summary(latencies, time.perf_counter() - started,
                        http_errors=http_errors, shed=shed)

@@ -1,9 +1,10 @@
 """Transport-free query service over a :class:`~repro.core.mapstore.\
 MapStore`.
 
-:class:`MapService` is what the HTTP layer, the load generator and the
-tests all talk to: plain methods returning JSON-serialisable dicts. It
-owns three cross-cutting concerns so the transport does not have to:
+:class:`MapService` is what the HTTP layer, the load generator, the
+chaos harness and the tests all talk to, through one request path:
+:meth:`MapService.handle` (raw request target in, :class:`Reply` out).
+It owns three cross-cutting concerns so the transport does not have to:
 
 * **Answer cache** — a :class:`repro.lru.BoundedLru` keyed by
   ``(map_digest, endpoint, params)``. The digest in the key is the
@@ -27,7 +28,9 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from ..core.mapstore import MapStore
 from ..core.uncertainty import coverage_caveats
@@ -44,6 +47,17 @@ CACHED_ENDPOINTS = ("cdf", "outage", "anycast", "map")
 #: gate (each target is one cached computation).
 MAX_CDF_BATCH = 32
 
+#: Probe endpoints that bypass the admission gate: liveness, readiness
+#: and the telemetry scrape must answer even when the replica is
+#: saturated or draining.
+UNGATED_PATHS = ("/v1/health", "/v1/healthz", "/v1/readyz",
+                 "/v1/metricsz")
+
+#: Endpoint labels used for latency histograms and access logs; paths
+#: outside this set are folded into "other" to bound label cardinality.
+_ENDPOINT_LABELS = ("health", "healthz", "readyz", "map", "cdf",
+                    "outage", "anycast")
+
 
 class QueryError(ReproError):
     """A query the map cannot answer; carries the HTTP status to emit.
@@ -55,6 +69,32 @@ class QueryError(ReproError):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
         self.status = int(status)
+
+
+@dataclass(frozen=True)
+class Reply:
+    """What :meth:`MapService.handle` answers: the status, the JSON body
+    (``{"error": ...}`` on a refusal), the telemetry endpoint label and,
+    on a 429, the gate's retry hint in seconds."""
+
+    status: int
+    body: Dict[str, Any]
+    endpoint: str
+    retry_after: Optional[float] = None
+
+    @property
+    def answered(self) -> bool:
+        """An answer was computed (a not-ready ``readyz`` included), so
+        the client can still disconnect before the body."""
+        return "error" not in self.body
+
+
+def _endpoint_label(path: str) -> str:
+    """Telemetry label of a path: the endpoint name, or ``"other"``."""
+    name = path.rsplit("/", 1)[-1]
+    if path.startswith("/v1/") and name in _ENDPOINT_LABELS:
+        return name
+    return "other"
 
 
 class MapArtefactError(ReproError):
@@ -242,6 +282,66 @@ class MapService:
                 yield
             finally:
                 self._local.deadline = None
+
+    def handle(self, target: str) -> Reply:
+        """Answer one raw request target, e.g. ``/v1/cdf?as=1,2``: the
+        request path of every driver (HTTP, ``replay``, ``run_chaos``).
+
+        Only paths outside :data:`UNGATED_PATHS` pass :meth:`admit`.
+        Refusals become ``{"error": ...}`` replies with their status and a
+        not-ok ``/v1/readyz`` answers 503; any other exception is a bug
+        and propagates to the transport.
+        """
+        url = urlsplit(target)
+        path = url.path
+        params = parse_qs(url.query, keep_blank_values=True)
+        try:
+            if path in UNGATED_PATHS:
+                body = self._route(path, params)
+            else:
+                with self.admit():
+                    body = self._route(path, params)
+        except QueryError as exc:
+            # AdmissionError (429) and DeadlineExpired (504) are
+            # QueryErrors too; only a shed carries a retry hint.
+            return Reply(exc.status, {"error": str(exc)},
+                         _endpoint_label(path),
+                         getattr(exc, "retry_after", None))
+        status = 200
+        if path == "/v1/readyz" and body.get("status") != "ok":
+            status = 503
+        return Reply(status, body, _endpoint_label(path))
+
+    def _route(self, path: str,
+               params: Dict[str, List[str]]) -> Dict[str, Any]:
+        if path == "/v1/health":
+            return self.health()
+        if path == "/v1/healthz":
+            return self.alive()
+        if path == "/v1/readyz":
+            return self.ready()
+        if path == "/v1/map":
+            return self.map_summary()
+        if path == "/v1/cdf":
+            raw = _single(params, "as", required=True)
+            asns = [_int_param(part, "as")
+                    for part in raw.split(",") if part]
+            weighted = _bool_param(_single(params, "weighted"), "weighted")
+            return self.cdf(asns, weighted=weighted)
+        if path == "/v1/outage":
+            asn = _single(params, "asn")
+            hypergiant = _single(params, "hypergiant")
+            return self.outage(
+                asn=None if asn is None else _int_param(asn, "asn"),
+                hypergiant=hypergiant)
+        if path == "/v1/anycast":
+            service_key = _single(params, "service", required=True)
+            prefix = _int_param(_single(params, "prefix", required=True),
+                                "prefix")
+            k_raw = _single(params, "k")
+            k = 3 if k_raw is None else _int_param(k_raw, "k")
+            return self.anycast(service_key, prefix, k=k)
+        raise QueryError(404, f"unknown endpoint {path!r}")
 
     def alive(self) -> Dict[str, Any]:
         """``/v1/healthz``: pure liveness — the process answers."""
@@ -437,6 +537,39 @@ class MapService:
                 "is_offnet": c.is_offnet,
             } for c in answer.candidates],
         }
+
+
+def _single(params: Dict[str, List[str]], name: str,
+            required: bool = False) -> Optional[str]:
+    values = params.get(name, [])
+    if len(values) > 1:
+        raise QueryError(400, f"parameter {name!r} given more than once")
+    if not values:
+        if required:
+            raise QueryError(400, f"missing required parameter {name!r}")
+        return None
+    return values[0]
+
+
+def _int_param(raw: str, name: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise QueryError(
+            400, f"parameter {name!r} must be an integer, "
+                 f"got {raw!r}") from None
+
+
+def _bool_param(raw: Optional[str], name: str) -> Optional[bool]:
+    if raw is None:
+        return None
+    lowered = raw.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise QueryError(
+        400, f"parameter {name!r} must be true or false, got {raw!r}")
 
 
 def _cdf_to_dict(cdf) -> Dict[str, Any]:

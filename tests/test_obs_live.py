@@ -15,7 +15,6 @@ import json
 import math
 import os
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,30 +98,6 @@ class TestHistogramProperties:
         assert est >= exact or est == pytest.approx(exact)
         assert est <= max(exact * BUCKET_GROWTH, BUCKET_BOUNDS[0])
         assert est <= hist.max or est == pytest.approx(hist.max)
-
-    @given(st.lists(durations, min_size=4, max_size=200))
-    @settings(max_examples=60, deadline=None)
-    def test_quantile_within_one_bucket_of_loadgen_percentile(self, values):
-        """The shared-fixture lock between the two latency sources: the
-        loadgen's interpolated percentile (``np.percentile``, numpy's
-        default linear method) and the histogram's quantile
-        land between the same neighbouring order statistics, one bucket
-        ratio of slack on top.  (The interpolated position q*(n-1) and
-        the nearest-rank index ceil(q*n)-1 differ by at most one, so
-        both estimators are bracketed by the order statistics one rank
-        either side of the interpolation window.)"""
-        ordered = sorted(values)
-        n = len(ordered)
-        hist = _hist(values)
-        for q in (0.5, 0.9, 0.99):
-            exact = np.percentile(values, q * 100)
-            est = hist.quantile(q)
-            lower = int(q * (n - 1))
-            low = ordered[max(0, lower - 1)]
-            high = max(ordered[min(n - 1, lower + 2)] * BUCKET_GROWTH,
-                       BUCKET_BOUNDS[0])
-            for estimate in (exact, est):
-                assert low * (1 - 1e-9) <= estimate <= high * (1 + 1e-9)
 
 
 class TestHistogramBasics:

@@ -24,8 +24,8 @@ from repro.core.serialize import map_from_dict, map_to_dict, map_to_json
 from repro.errors import ValidationError
 from repro.obs import Recorder
 from repro.serve import (ArtefactWatcher, MapArtefactError, MapService,
-                         QueryError, load_store, replay, replay_http,
-                         seeded_queries, serve_http)
+                         Query, QueryError, load_store, replay,
+                         replay_http, seeded_queries, serve_http)
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +460,58 @@ class TestLoadgen:
         assert summary["queries"] == 40
         assert summary["http_errors"] == 0
         assert summary["shed"] == 0
+
+
+class TestOneRequestPath:
+    """HTTP and the in-process drivers answer through one path,
+    ``MapService.handle``: the same query gets the same status and the
+    same body bytes whichever way it is sent."""
+
+    def _queries(self, store):
+        target = str(int(store.route_targets()[0]))
+        key = store.service_keys[0]
+        pid = str(int(store.svc_clients[0][0]))
+        org = store.organizations[0]
+        return [
+            Query("cdf", (("as", target), ("weighted", "true"))),
+            Query("cdf", (("as", target), ("weighted", "false"))),
+            Query("cdf", (("as", "x"),)),
+            Query("cdf", ()),
+            Query("anycast", (("service", key), ("prefix", pid),
+                              ("k", "-1"))),
+            Query("anycast", (("service", "no-such-service"),
+                              ("prefix", pid))),
+            Query("outage", (("asn", target), ("hypergiant", org))),
+            Query("no-such-endpoint", ()),
+        ]
+
+    def test_http_equals_handle(self, server, store):
+        service = server.service
+        statuses = []
+        for query in self._queries(store):
+            url = (f"http://127.0.0.1:{server.server_port}"
+                   f"{query.url_path()}")
+            try:
+                with urllib.request.urlopen(url, timeout=30) as response:
+                    status, body = response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                status, body = exc.code, exc.read()
+            reply = service.handle(query.url_path())
+            assert (status, body) == \
+                (reply.status, json.dumps(reply.body).encode()), query
+            statuses.append(status)
+        assert statuses == [200, 200, 400, 400, 400, 404, 400, 404]
+        weighted, unweighted = (
+            service.handle(q.url_path()).body["results"][0]
+            for q in self._queries(store)[:2])
+        assert "weighted" in weighted and "unweighted" not in weighted
+        assert "unweighted" in unweighted and "weighted" not in unweighted
+        assert "median_shift" not in weighted
+
+    def test_replay_counts_malformed_query(self, store):
+        summary = replay(MapService(store), [Query("cdf", (("as", "x"),))])
+        assert summary["http_errors"] == 1
+        assert summary["queries"] == 1
 
 
 class TestCli:
