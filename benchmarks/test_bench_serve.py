@@ -16,6 +16,12 @@ small map and gates three things:
 * **latency** — p99 at or under a committed ceiling;
 * **throughput** — queries/sec at or above a committed floor.
 
+A second test replays the head of the same stream over one keep-alive
+HTTP connection to an in-thread :class:`~repro.serve.http.QueryServer`
+and gates its p50 under a ceiling: a transport regression (e.g. the
+40 ms Nagle x delayed-ACK stall that ``TCP_NODELAY`` removes) shows up
+there, never in the in-process replay.
+
 The latency/throughput gates are deliberately loose (shared CI boxes),
 the counter gates exact (deterministic by construction). The manifest
 check closes the acceptance loop: the ``serve.cache.*`` counters and a
@@ -32,8 +38,12 @@ after an intentional change with::
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import statistics
+import threading
+import time
 from pathlib import Path
 from typing import Dict, List, Tuple
 
@@ -41,7 +51,8 @@ from repro import ScenarioConfig, build_scenario
 from repro.core.builder import MapBuilder
 from repro.core.mapstore import MapStore
 from repro.obs import Recorder
-from repro.serve import MapService, Query, replay, seeded_queries
+from repro.serve import (MapService, Query, replay, seeded_queries,
+                         serve_http)
 
 BASELINE = Path(__file__).parent / "baselines" / "serve-loadgen.json"
 
@@ -49,6 +60,8 @@ SEED = 20211110
 N_QUERIES = 2000
 QPS_FLOOR = 500.0
 P99_CEILING_MS = 50.0
+HTTP_QUERIES = 500
+HTTP_P50_CEILING_MS = 10.0
 
 
 def expected_cache_traffic(queries: List[Query]) -> Tuple[int, int]:
@@ -165,3 +178,42 @@ def test_serve_loadgen_gates():
         "serve loadgen drifted from the committed baseline "
         f"({BASELINE}): expected {baseline}, got {deterministic}; "
         "regenerate with REPRO_UPDATE_BASELINES=1 if intentional")
+
+
+def test_http_keepalive_p50_gate():
+    """The seeded stream's first queries over one keep-alive
+    ``http.client`` connection: every answer a 200, p50 under the
+    ceiling (a ~44 ms p50 here means the delayed-ACK stall is back)."""
+    scenario = build_scenario(ScenarioConfig.small(seed=SEED))
+    itm = MapBuilder(scenario).build()
+    store = MapStore.from_map(itm, graph=scenario.graph)
+    httpd = serve_http(MapService(store, cache_entries=4096), port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection("127.0.0.1", httpd.server_port,
+                                      timeout=30)
+    latencies_ms = []
+    refused = []
+    try:
+        for query in seeded_queries(store, N_QUERIES,
+                                    seed=SEED)[:HTTP_QUERIES]:
+            start = time.perf_counter()
+            conn.request("GET", query.url_path())
+            response = conn.getresponse()
+            response.read()
+            latencies_ms.append((time.perf_counter() - start) * 1e3)
+            if response.status != 200:
+                refused.append((query.url_path(), response.status))
+    finally:
+        conn.close()
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+
+    assert not refused, refused
+    p50 = statistics.median(latencies_ms)
+    print(f"\nserve http keep-alive: {len(latencies_ms)} queries, "
+          f"p50 {p50:.3f} ms")
+    assert p50 <= HTTP_P50_CEILING_MS, (
+        f"keep-alive HTTP p50 {p50:.2f} ms over the "
+        f"{HTTP_P50_CEILING_MS} ms ceiling")

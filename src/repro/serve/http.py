@@ -22,6 +22,12 @@ header value when the client sent one, a fresh sequential id
 otherwise); the same id lands in the JSONL access log when one is
 attached, so a slow response can be joined to its log record.
 
+Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set, since the
+headers and body go out in two writes and Nagle would hold the body
+for the client's 40 ms delayed ACK; a non-GET answers 405 and closes
+the connection, because its unread body would otherwise be parsed as
+the next request.
+
 Endpoint reference with parameters and response schemas:
 ``docs/serving.md``.
 """
@@ -77,6 +83,11 @@ class _Handler(BaseHTTPRequestHandler):
     # the server_close() join (see QueryServer). Overridden per server
     # by setup() from QueryServer.request_timeout (--request-timeout).
     timeout = 10
+    # TCP_NODELAY on every accepted socket: a response leaves in two
+    # writes (header block, then body), and on a keep-alive connection
+    # Nagle holds the body until the client's delayed ACK (40 ms) of
+    # the headers.
+    disable_nagle_algorithm = True
 
     def setup(self) -> None:  # noqa: D102 - stdlib override
         self.timeout = self.server.request_timeout
@@ -162,6 +173,9 @@ class _Handler(BaseHTTPRequestHandler):
                        service.digest, request_id=request_id)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        # The request body is never read, so the connection cannot be
+        # reused: the stdlib would parse that body as the next request.
+        self.close_connection = True
         self._send(405, {"error": "only GET is supported"},
                    self.server.service.digest)
 
@@ -184,6 +198,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Map-Digest", digest)
             if request_id is not None:
                 self.send_header("X-Request-Id", request_id)
+            if self.close_connection:
+                # A 405, or a client that asked to close: say so.
+                self.send_header("Connection", "close")
             if retry_after is not None:
                 # Whole seconds, rounded up — never tell a client to
                 # retry immediately into the same refill window.

@@ -9,8 +9,11 @@ round-trips Python floats exactly).
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -255,10 +258,29 @@ class TestMalformedHttp:
         assert body["digest"] == store.digest
         assert body["reasons"] == []
 
-    def test_slow_request_line_counts_timeout(self, store):
-        import socket
-        import time
+    def test_post_body_is_not_parsed_as_next_request(self, server):
+        """A 405 leaves the request body unread, so the server must
+        close the connection: one response, then EOF. Kept open, the
+        body would be parsed and answered as a second request."""
+        smuggled = b"GET /v1/map HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (b"POST /v1/health HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Length: %d\r\n\r\n" % len(smuggled)
+                   + smuggled)
+        with socket.create_connection(
+                ("127.0.0.1", server.server_port), timeout=5) as sock:
+            sock.sendall(request)
+            received = b""
+            try:
+                while chunk := sock.recv(65536):
+                    received += chunk
+            except socket.timeout:
+                pytest.fail("connection left open after the 405: "
+                            f"{received!r}")
+        assert received.startswith(b"HTTP/1.1 405 "), received
+        assert received.count(b"HTTP/1.1 ") == 1, received
+        assert b"\r\nConnection: close\r\n" in received, received
 
+    def test_slow_request_line_counts_timeout(self, store):
         recorder = Recorder()
         service = MapService(store, recorder=recorder)
         httpd = serve_http(service, port=0, request_timeout=0.2)
@@ -462,33 +484,36 @@ class TestLoadgen:
         assert summary["shed"] == 0
 
 
+def _mixed_queries(store):
+    """Two answered CDF queries, then refusals of every kind (400,
+    404), for the HTTP-equals-handle checks."""
+    target = str(int(store.route_targets()[0]))
+    key = store.service_keys[0]
+    pid = str(int(store.svc_clients[0][0]))
+    org = store.organizations[0]
+    return [
+        Query("cdf", (("as", target), ("weighted", "true"))),
+        Query("cdf", (("as", target), ("weighted", "false"))),
+        Query("cdf", (("as", "x"),)),
+        Query("cdf", ()),
+        Query("anycast", (("service", key), ("prefix", pid),
+                          ("k", "-1"))),
+        Query("anycast", (("service", "no-such-service"),
+                          ("prefix", pid))),
+        Query("outage", (("asn", target), ("hypergiant", org))),
+        Query("no-such-endpoint", ()),
+    ]
+
+
 class TestOneRequestPath:
     """HTTP and the in-process drivers answer through one path,
     ``MapService.handle``: the same query gets the same status and the
     same body bytes whichever way it is sent."""
 
-    def _queries(self, store):
-        target = str(int(store.route_targets()[0]))
-        key = store.service_keys[0]
-        pid = str(int(store.svc_clients[0][0]))
-        org = store.organizations[0]
-        return [
-            Query("cdf", (("as", target), ("weighted", "true"))),
-            Query("cdf", (("as", target), ("weighted", "false"))),
-            Query("cdf", (("as", "x"),)),
-            Query("cdf", ()),
-            Query("anycast", (("service", key), ("prefix", pid),
-                              ("k", "-1"))),
-            Query("anycast", (("service", "no-such-service"),
-                              ("prefix", pid))),
-            Query("outage", (("asn", target), ("hypergiant", org))),
-            Query("no-such-endpoint", ()),
-        ]
-
     def test_http_equals_handle(self, server, store):
         service = server.service
         statuses = []
-        for query in self._queries(store):
+        for query in _mixed_queries(store):
             url = (f"http://127.0.0.1:{server.server_port}"
                    f"{query.url_path()}")
             try:
@@ -503,7 +528,7 @@ class TestOneRequestPath:
         assert statuses == [200, 200, 400, 400, 400, 404, 400, 404]
         weighted, unweighted = (
             service.handle(q.url_path()).body["results"][0]
-            for q in self._queries(store)[:2])
+            for q in _mixed_queries(store)[:2])
         assert "weighted" in weighted and "unweighted" not in weighted
         assert "unweighted" in unweighted and "weighted" not in unweighted
         assert "median_shift" not in weighted
@@ -512,6 +537,51 @@ class TestOneRequestPath:
         summary = replay(MapService(store), [Query("cdf", (("as", "x"),))])
         assert summary["http_errors"] == 1
         assert summary["queries"] == 1
+
+
+@pytest.mark.perf_smoke
+class TestKeepAlive:
+    """Many requests over one persistent connection, the way a
+    dashboard or the benchmark's clients talk to the server."""
+
+    def test_sequential_requests_are_not_delayed(self, server):
+        """Without TCP_NODELAY each keep-alive response waits ~40 ms
+        for the client's delayed ACK (~1.7 s for 40 requests); a
+        one-shot ``urllib`` connection never shows it."""
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_port, timeout=30)
+        try:
+            start = time.perf_counter()
+            for __ in range(40):
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.8, f"40 keep-alive requests took {elapsed:.2f} s"
+
+    def test_reused_connection_equals_handle(self, server, store):
+        """Error replies (400/404) keep the connection reusable and
+        correctly framed: every answer on the one connection byte-matches
+        ``MapService.handle``."""
+        service = server.service
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_port, timeout=30)
+        try:
+            conn.connect()
+            sock = conn.sock
+            for query in _mixed_queries(store):
+                conn.request("GET", query.url_path())
+                response = conn.getresponse()
+                status, body = response.status, response.read()
+                reply = service.handle(query.url_path())
+                assert (status, body) == \
+                    (reply.status, json.dumps(reply.body).encode()), query
+                assert conn.sock is sock, f"connection closed after {query}"
+        finally:
+            conn.close()
 
 
 class TestCli:
