@@ -31,7 +31,7 @@ def main(seed: int = 20211110) -> None:
     itm = MapBuilder(scenario).build()
     with tempfile.TemporaryDirectory() as tmp:
         artifact = Path(tmp) / "itm.json"
-        artifact.write_text(map_to_json(itm, indent=2))
+        artifact.write_text(map_to_json(itm))
         print(f"Publisher: exported the map "
               f"({artifact.stat().st_size / 1024:.0f} KiB of JSON).")
 

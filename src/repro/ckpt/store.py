@@ -47,11 +47,9 @@ from ..errors import ReproError
 from ..obs.recorder import NULL_RECORDER, Recorder
 
 try:  # Optional accelerator for the multi-megabyte snapshot bodies.
-    # Safe because snapshot digests are only ever compared against bytes
-    # produced by the same store (save records the digest the load
-    # verifies), never across environments: a snapshot written by the
-    # other encoder at worst re-encodes to different bytes on the legacy
-    # verify path and is quarantined — a recompute, not a wrong map.
+    # Safe because a load hashes the body bytes as stored, never a
+    # re-encode: the digest verified is the one save computed over the
+    # exact bytes it wrote, whichever encoder wrote them.
     import orjson as _orjson
 
     def _json_loads(data):
@@ -71,7 +69,7 @@ except ImportError:  # pragma: no cover - depends on the environment
         return json.dumps(body, separators=(",", ":")).encode()
 
 #: Snapshot envelope schema version; bump on incompatible layout change.
-CKPT_FORMAT_VERSION = 1
+CKPT_FORMAT_VERSION = 2
 
 #: Hex digits of the body digest carried in the snapshot filename.
 _NAME_DIGEST_LEN = 12
@@ -82,9 +80,12 @@ _NAME_DIGEST_LEN = 12
 #: can (a) parse just the meta prefix to reject a mismatched or stale
 #: snapshot without decoding megabytes of payload, and (b) verify
 #: integrity by hashing the raw slice instead of re-encoding the parsed
-#: body. Files not written this way (hand-edited, older layouts) fall
-#: back to a whole-envelope parse.
+#: body. A file not laid out this way was not written by ``save`` and
+#: is quarantined, never parsed some other way.
 _BODY_MARKER = b',"body":'
+
+#: The members of every body :meth:`CheckpointStore.save` writes.
+_BODY_KEYS = {"payload", "scopes", "notes"}
 
 
 class CheckpointError(ReproError):
@@ -159,20 +160,6 @@ class CheckpointStore:
                 f"cannot create checkpoint dir {self.root}: {exc}") \
                 from None
 
-    # -- digests ----------------------------------------------------------
-
-    @staticmethod
-    def _body_bytes(body: Dict[str, object]) -> bytes:
-        # Compact, order-preserving: dict insertion order is meaningful
-        # (see repro.core.serialize) so the body is NOT key-sorted. The
-        # digest therefore covers the exact order a resume will see.
-        return _body_encode(body)
-
-    @classmethod
-    def body_digest(cls, body: Dict[str, object]) -> str:
-        """SHA-256 hex digest of a snapshot body."""
-        return hashlib.sha256(cls._body_bytes(body)).hexdigest()
-
     # -- paths ------------------------------------------------------------
 
     def snapshot_paths(self, stage: str) -> List[Path]:
@@ -196,8 +183,12 @@ class CheckpointStore:
         """
         rec = self._recorder
         with rec.span("ckpt.save"):
-            body = {"payload": payload, "scopes": scopes, "notes": notes}
-            body_bytes = self._body_bytes(body)
+            # Compact, order-preserving: dict insertion order is
+            # meaningful (see repro.core.serialize) so the body is NOT
+            # key-sorted. The digest covers the exact order a resume
+            # will see.
+            body_bytes = _body_encode(
+                {"payload": payload, "scopes": scopes, "notes": notes})
             digest = hashlib.sha256(body_bytes).hexdigest()
             self.last_saved_digest = digest
             meta = {
@@ -290,8 +281,8 @@ class CheckpointStore:
             return LoadedSnapshot(
                 stage=stage,
                 payload=body_obj["payload"],
-                scopes=body_obj.get("scopes", {}),
-                notes=body_obj.get("notes", {}),
+                scopes=body_obj["scopes"],
+                notes=body_obj["notes"],
                 digest=digest)
 
     def _read_verified(self, path: Path, stage: str,
@@ -301,13 +292,11 @@ class CheckpointStore:
         Returns ``(quarantine_reason, is_stale, (digest, body))`` with
         exactly one of the three "set": a reason string (quarantine),
         ``is_stale`` True (input-digest mismatch — leave in place), or
-        the verified body. Snapshots written by :meth:`save` take a
-        fast path: the meta prefix (everything before ``_BODY_MARKER``)
-        is parsed alone, so compatibility and staleness are decided
-        before the megabytes of body are ever decoded, and integrity is
-        a hash of the raw body slice — the exact bytes :meth:`save`
-        digested. Anything else (hand-edited, foreign layout) is parsed
-        whole and its body digest recomputed from a re-encode.
+        the verified body. Only the layout :meth:`save` writes is read:
+        the meta prefix (everything before ``_BODY_MARKER``) is parsed
+        alone, so compatibility and staleness are decided before the
+        megabytes of body are ever decoded, and integrity is a hash of
+        the raw body slice — the exact bytes :meth:`save` digested.
         """
         try:
             raw = path.read_bytes()
@@ -316,50 +305,31 @@ class CheckpointStore:
 
         marker = raw.find(_BODY_MARKER)
         trimmed = raw.rstrip()
-        if marker != -1 and trimmed.endswith(b"}"):
-            try:
-                meta = _json_loads(raw[:marker] + b"}")
-            except ValueError as exc:
-                return f"unreadable snapshot: {exc}", False, None
-            reason = self._verify_meta(stage, meta)
-            if reason is not None:
-                return reason, False, None
-            if (input_digest is not None
-                    and meta.get("input_digest") != input_digest):
-                return None, True, None
-            body_bytes = trimmed[marker + len(_BODY_MARKER):-1]
-            digest = hashlib.sha256(body_bytes).hexdigest()
-            if digest != meta.get("payload_sha256"):
-                return ("payload digest mismatch (corrupt snapshot)",
-                        False, None)
-            try:
-                body = _json_loads(body_bytes)
-            except ValueError as exc:
-                return f"unreadable snapshot body: {exc}", False, None
-            if not isinstance(body, dict) or "payload" not in body:
-                return "snapshot body is missing", False, None
-            return None, False, (digest, body)
-
-        # Foreign layout: whole-envelope parse, body digest re-encoded.
+        if marker == -1 or not trimmed.endswith(b"}"):
+            return ("not the layout save writes (re-dumped or "
+                    "hand-edited)", False, None)
         try:
-            envelope = _json_loads(raw)
+            meta = _json_loads(raw[:marker] + b"}")
         except ValueError as exc:
             return f"unreadable snapshot: {exc}", False, None
-        if not isinstance(envelope, dict):
-            return "snapshot is not a JSON object", False, None
-        reason = self._verify_meta(stage, envelope)
+        reason = self._verify_meta(stage, meta)
         if reason is not None:
             return reason, False, None
-        body = envelope.get("body")
-        if not isinstance(body, dict) or "payload" not in body:
-            return "snapshot body is missing", False, None
-        if self.body_digest(body) != envelope.get("payload_sha256"):
+        if (input_digest is not None
+                and meta.get("input_digest") != input_digest):
+            return None, True, None
+        body_bytes = trimmed[marker + len(_BODY_MARKER):-1]
+        digest = hashlib.sha256(body_bytes).hexdigest()
+        if digest != meta.get("payload_sha256"):
             return ("payload digest mismatch (corrupt snapshot)",
                     False, None)
-        if (input_digest is not None
-                and envelope.get("input_digest") != input_digest):
-            return None, True, None
-        return None, False, (envelope["payload_sha256"], body)
+        try:
+            body = _json_loads(body_bytes)
+        except ValueError as exc:
+            return f"unreadable snapshot body: {exc}", False, None
+        if not isinstance(body, dict) or body.keys() != _BODY_KEYS:
+            return "snapshot body is malformed", False, None
+        return None, False, (digest, body)
 
     def _verify_meta(self, stage: str, meta: object) -> Optional[str]:
         """Reason the envelope meta is unusable, or None if compatible."""

@@ -418,8 +418,7 @@ def _prepare(args: argparse.Namespace, recorder: Recorder):
         from .core.serialize import map_to_json
         try:
             with open(args.map_json, "w") as handle:
-                handle.write(map_to_json(itm, indent=2))
-                handle.write("\n")
+                handle.write(map_to_json(itm))
         except OSError as exc:
             raise ConfigError(
                 f"cannot write map JSON to {args.map_json}: {exc}") \

@@ -24,15 +24,16 @@ Contracts:
   :class:`repro.serve.service.MapService` hot swap a single reference
   assignment.
 * **Content digest** — :attr:`digest` is the SHA-256 of the map's
-  canonical JSON artefact, so two stores built from bit-identical maps
-  (fresh vs ``--delta``, serial vs ``--workers N``) share a digest and
-  an answer cached under one is valid for the other.
+  artefact bytes (:func:`~repro.core.serialize.map_to_json`, the one
+  encoding), so two stores built from bit-identical maps (fresh vs
+  ``--delta``, serial vs ``--workers N``, in-process vs loaded from
+  the artefact) share a digest and an answer cached under one is valid
+  for the other.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,7 +82,8 @@ class MapStore:
 
     @classmethod
     def from_map(cls, itm: InternetTrafficMap,
-                 graph: Optional[ASGraph] = None) -> "MapStore":
+                 graph: Optional[ASGraph] = None,
+                 artefact: Optional[bytes] = None) -> "MapStore":
         """Flatten a built map (plus optional AS-graph context) into
         columnar arrays.
 
@@ -93,13 +95,20 @@ OutageImpactAnalyzer` needs; without it outage queries raise. The map's
         its bounds mean the artefact and the scenario context disagree
         and raise :class:`ValidationError` up front rather than at query
         time.
+
+        ``artefact`` is the map's artefact as read (its bytes are
+        hashed as they are); an in-process build passes none and the
+        map is encoded once to name it.
         """
         self = object.__new__(cls)
 
-        canonical = json.dumps(_canonical_map_dict(itm), sort_keys=True,
-                               separators=(",", ":"))
-        self.digest = hashlib.sha256(canonical.encode()).hexdigest()
-        self.format_version = 1
+        # Imported lazily: serialize imports measure modules, which is
+        # more than a point lookup needs at import time.
+        from .serialize import FORMAT_VERSION, map_to_json
+        if artefact is None:
+            artefact = map_to_json(itm).encode()
+        self.digest = hashlib.sha256(artefact).hexdigest()
+        self.format_version = FORMAT_VERSION
         self.seed = itm.metadata.get("seed")
         self.coverage: Dict[str, ComponentCoverage] = dict(itm.coverage)
 
@@ -533,10 +542,3 @@ def _check_pid_bounds(pids: np.ndarray, size: int, where: str) -> None:
             f"{where} reference prefixes outside the attached prefix "
             f"table (size {size}) — the artefact and the scenario "
             f"context disagree")
-
-
-def _canonical_map_dict(itm: InternetTrafficMap) -> Dict[str, object]:
-    # Imported lazily: serialize imports measure modules, which is more
-    # than a point lookup needs at import time.
-    from .serialize import map_to_dict
-    return map_to_dict(itm)

@@ -23,7 +23,7 @@ queries need it.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .traffic_map import (ComponentCoverage, InternetTrafficMap,
                           MappedSite, RoutesComponent, ServicesComponent,
                           UsersComponent)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +69,7 @@ def _describe_type(expected) -> str:
     return _TYPE_NAMES.get(expected, expected.__name__)
 
 
-def _get(mapping: Any, key: str, expected, where: str,
-         optional: bool = False, default: Any = None) -> Any:
+def _get(mapping: Any, key: str, expected, where: str) -> Any:
     """``mapping[key]`` with errors that name the key and expected type.
 
     Raises :class:`ValidationError` — never a bare ``KeyError`` or
@@ -81,13 +80,9 @@ def _get(mapping: Any, key: str, expected, where: str,
         raise ValidationError(
             f"{where} must be an object, got {type(mapping).__name__}")
     if key not in mapping:
-        if optional:
-            return default
         raise ValidationError(f"{where} is missing required key {key!r}")
     value = mapping[key]
-    if expected is not None and not isinstance(value, expected):
-        # bool is an int subclass; reject it where a number is expected.
-        pass
+    # bool is an int subclass; reject it where a number is expected.
     if expected is not None and (
             not isinstance(value, expected)
             or (isinstance(value, bool)
@@ -171,31 +166,21 @@ def _services_to_dict(services: ServicesComponent) -> Dict[str, Any]:
 
 
 def _user_to_host_from(mapping: Any, where: str) -> Dict[int, int]:
-    """Decode one service's user->host map (columnar or legacy form).
-
-    The columnar ``{"clients": [...], "hosts": [...]}`` form is what
-    :func:`_services_to_dict` writes; the str-keyed object form is
-    accepted so artefacts and stage snapshots written before the
-    columnar encoding still load.
-    """
-    if isinstance(mapping, dict) and "clients" in mapping:
-        clients = _get(mapping, "clients", list, where)
-        hosts = _get(mapping, "hosts", list, where)
-        if len(clients) != len(hosts):
-            raise ValidationError(
-                f"{where} clients/hosts length mismatch: "
-                f"{len(clients)} != {len(hosts)}")
-        # JSON-parsed arrays are already int; coerce only when a
-        # hand-edited artefact says otherwise (these arrays carry
-        # hundreds of thousands of entries at scale, so the per-element
-        # cast is worth skipping).
-        if any(type(v) is not int for v in clients[:1] + hosts[:1]):
-            return dict(zip(map(int, clients), map(int, hosts)))
-        return dict(zip(clients, hosts))
-    if not isinstance(mapping, dict):
+    """Decode one service's columnar ``{"clients": [...], "hosts":
+    [...]}`` user->host map, as :func:`_services_to_dict` writes it."""
+    clients = _get(mapping, "clients", list, where)
+    hosts = _get(mapping, "hosts", list, where)
+    if len(clients) != len(hosts):
         raise ValidationError(
-            f"{where} must be an object, got {type(mapping).__name__}")
-    return {int(c): int(a) for c, a in mapping.items()}
+            f"{where} clients/hosts length mismatch: "
+            f"{len(clients)} != {len(hosts)}")
+    # JSON-parsed arrays are already int; coerce only when a
+    # hand-edited artefact says otherwise (these arrays carry
+    # hundreds of thousands of entries at scale, so the per-element
+    # cast is worth skipping).
+    if any(type(v) is not int for v in clients[:1] + hosts[:1]):
+        return dict(zip(map(int, clients), map(int, hosts)))
+    return dict(zip(clients, hosts))
 
 
 def _services_from_dict(raw: Any, atlas: WorldAtlas,
@@ -275,10 +260,16 @@ def map_to_dict(itm: InternetTrafficMap) -> Dict[str, Any]:
     }
 
 
-def map_to_json(itm: InternetTrafficMap, indent: Optional[int] = None
-                ) -> str:
-    """JSON string form of :func:`map_to_dict`."""
-    return json.dumps(map_to_dict(itm), indent=indent, sort_keys=True)
+def map_to_json(itm: InternetTrafficMap) -> str:
+    """The map artefact: :func:`map_to_dict` as canonical JSON.
+
+    Keys sorted, compact separators, no newline anywhere (``json``
+    escapes the ones inside strings). This is the one encoding of a map:
+    every writer writes exactly these bytes, and the served digest is
+    their SHA-256 (see :class:`~repro.core.mapstore.MapStore`).
+    """
+    return json.dumps(map_to_dict(itm), sort_keys=True,
+                      separators=(",", ":"))
 
 
 def map_from_dict(payload: Dict[str, Any],
@@ -309,10 +300,9 @@ def map_from_dict(payload: Dict[str, Any],
     routes = _routes_from_dict(
         _get(payload, "routes", dict, "map payload"), "routes")
 
-    # Tolerant: artefacts written before coverage reporting lack the key.
     coverage = {}
-    for name, entry in _get(payload, "coverage", dict, "map payload",
-                            optional=True, default={}).items():
+    for name, entry in _get(payload, "coverage", dict,
+                            "map payload").items():
         where = f"coverage[{name!r}]"
         coverage[name] = ComponentCoverage(
             component=name,
@@ -321,8 +311,7 @@ def map_from_dict(payload: Dict[str, Any],
                 _get(entry, "techniques_intended", list, where)),
             techniques_delivered=tuple(
                 _get(entry, "techniques_delivered", list, where)),
-            notes=tuple(_get(entry, "notes", list, where,
-                             optional=True, default=())))
+            notes=tuple(_get(entry, "notes", list, where)))
 
     metadata: Dict[str, Any] = {"seed": payload.get("seed")}
     if prefix_asn is not None:
@@ -332,13 +321,15 @@ def map_from_dict(payload: Dict[str, Any],
                               coverage=coverage)
 
 
-def map_from_json(text: str, atlas: Optional[WorldAtlas] = None,
+def map_from_json(text: Union[str, bytes],
+                  atlas: Optional[WorldAtlas] = None,
                   prefix_asn: Optional[np.ndarray] = None
                   ) -> InternetTrafficMap:
-    """Parse JSON text and rebuild the map (see :func:`map_from_dict`)."""
+    """Parse JSON text (or its bytes) and rebuild the map (see
+    :func:`map_from_dict`)."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes not UTF-8
         raise ValidationError(f"map artefact is not valid JSON: {exc}") \
             from None
     return map_from_dict(payload, atlas=atlas, prefix_asn=prefix_asn)

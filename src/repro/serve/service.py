@@ -99,7 +99,8 @@ def _endpoint_label(path: str) -> str:
 
 class MapArtefactError(ReproError):
     """A map artefact that cannot be served: missing file, invalid JSON,
-    wrong format version, or prefix ids outside the scenario context."""
+    not the canonical encoding, wrong format version, or prefix ids
+    outside the scenario context."""
 
 
 def load_store(path: str, scenario) -> MapStore:
@@ -108,21 +109,29 @@ def load_store(path: str, scenario) -> MapStore:
     The artefact carries only measurement-derived content (see
     :mod:`repro.core.serialize`); ``scenario`` re-attaches the ground
     truth context cross-component queries need — the prefix→AS table,
-    the city atlas, the AS graph. Any unreadable, unparseable or
-    incompatible artefact raises :class:`MapArtefactError` with a
-    one-line reason.
+    the city atlas, the AS graph. The store's digest is the SHA-256 of
+    the bytes read: the map is never re-encoded to name it. Any
+    unreadable, unparseable or incompatible artefact raises
+    :class:`MapArtefactError` with a one-line reason; so does one with
+    a newline byte, which the canonical encoding never has (an indented
+    artefact, as older CLIs wrote).
     """
     from ..core.serialize import map_from_json
     try:
-        with open(path) as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            artefact = handle.read()
     except OSError as exc:
         raise MapArtefactError(f"cannot read map artefact: {exc}") \
             from None
+    if b"\n" in artefact:
+        raise MapArtefactError(
+            "map artefact contains a newline: not the canonical "
+            "encoding (pretty-printed, or written by an older version)")
     try:
-        itm = map_from_json(text, atlas=scenario.atlas,
+        itm = map_from_json(artefact, atlas=scenario.atlas,
                             prefix_asn=scenario.prefixes.asn_array)
-        return MapStore.from_map(itm, graph=scenario.graph)
+        return MapStore.from_map(itm, graph=scenario.graph,
+                                 artefact=artefact)
     except ValidationError as exc:
         raise MapArtefactError(str(exc)) from None
 

@@ -97,7 +97,7 @@ class TestResume:
         [path] = (ckpt / "snapshots").glob("services.*.json")
         envelope = json.loads(path.read_text())
         envelope["body"]["payload"] = {"tampered": True}
-        path.write_text(json.dumps(envelope))
+        path.write_text(json.dumps(envelope, separators=(",", ":")))
 
         builder = MapBuilder(small_scenario, options=OPTS, faults=PLAN,
                              checkpoint_dir=ckpt, resume=True)
@@ -109,6 +109,24 @@ class TestResume:
         assert [q["stage"] for q in lineage.quarantined] == ["services"]
         assert "digest" in lineage.quarantined[0]["reason"]
         assert list((ckpt / "quarantine").iterdir())
+
+    def test_redumped_snapshot_quarantined_and_recomputed(
+            self, small_scenario, fresh_json, tmp_path):
+        """Same content, other separators: not the layout save writes,
+        so it is never trusted, however intact its body."""
+        ckpt = tmp_path / "ckpt"
+        MapBuilder(small_scenario, options=OPTS, faults=PLAN,
+                   checkpoint_dir=ckpt).build()
+        [path] = (ckpt / "snapshots").glob("services.*.json")
+        path.write_text(json.dumps(json.loads(path.read_text())))
+
+        builder = MapBuilder(small_scenario, options=OPTS, faults=PLAN,
+                             checkpoint_dir=ckpt, resume=True)
+        assert map_to_json(builder.build()) == fresh_json
+        lineage = builder.ckpt_lineage
+        assert lineage.stages_recomputed == ["services"]
+        assert [q["stage"] for q in lineage.quarantined] == ["services"]
+        assert "layout" in lineage.quarantined[0]["reason"]
 
     def test_fault_plan_mismatch_quarantines_everything(
             self, small_scenario, tmp_path):
@@ -205,7 +223,7 @@ class TestStore:
         path = store.save("users", {"x": 1}, {}, {})
         envelope = json.loads(path.read_text())
         envelope["body"]["payload"]["x"] = 666
-        path.write_text(json.dumps(envelope))
+        path.write_text(json.dumps(envelope, separators=(",", ":")))
         assert store.load("users") is None
         assert len(list(store.quarantine_dir.iterdir())) == 1
         assert not store.snapshot_paths("users")
@@ -236,7 +254,7 @@ class TestStore:
         path = store.save("users", {"x": 1}, {}, {})
         envelope = json.loads(path.read_text())
         envelope["format_version"] = 999
-        path.write_text(json.dumps(envelope))
+        path.write_text(json.dumps(envelope, separators=(",", ":")))
         assert store.load("users") is None
 
 

@@ -65,9 +65,11 @@ class TestRoundTrip:
         assert restored.services_serving_as(top)
 
     def test_json_is_valid_and_sorted(self, small_itm):
-        text = map_to_json(small_itm, indent=2)
+        text = map_to_json(small_itm)
         payload = json.loads(text)
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == 2
+        assert text == json.dumps(payload, sort_keys=True,
+                                  separators=(",", ":"))
 
     def test_unsupported_version_rejected(self, small_itm):
         payload = map_to_dict(small_itm)

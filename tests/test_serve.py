@@ -83,7 +83,7 @@ class TestEndpoints:
         status, body, __ = _get(server, "/v1/map")
         assert status == 200
         assert body["digest"] == store.digest
-        assert body["format_version"] == 1
+        assert body["format_version"] == 2
         assert body["counts"] == store.counts()
         assert body["degraded_components"] == []
         assert body["caveats"] == []
