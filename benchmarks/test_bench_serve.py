@@ -20,7 +20,9 @@ A second test replays the head of the same stream over one keep-alive
 HTTP connection to an in-thread :class:`~repro.serve.http.QueryServer`
 and gates its p50 under a ceiling: a transport regression (e.g. the
 40 ms Nagle x delayed-ACK stall that ``TCP_NODELAY`` removes) shows up
-there, never in the in-process replay.
+there, never in the in-process replay. A third splits the whole stream
+across eight concurrent keep-alive clients and gates the aggregate
+qps over a floor, with every answer a 200 naming the served map.
 
 The latency/throughput gates are deliberately loose (shared CI boxes),
 the counter gates exact (deterministic by construction). The manifest
@@ -47,6 +49,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Tuple
 
+import pytest
+
 from repro import ScenarioConfig, build_scenario
 from repro.core.builder import MapBuilder
 from repro.core.mapstore import MapStore
@@ -62,6 +66,8 @@ QPS_FLOOR = 500.0
 P99_CEILING_MS = 50.0
 HTTP_QUERIES = 500
 HTTP_P50_CEILING_MS = 10.0
+AGGREGATE_CLIENTS = 8
+AGGREGATE_QPS_FLOOR = 250.0
 
 
 def expected_cache_traffic(queries: List[Query]) -> Tuple[int, int]:
@@ -180,13 +186,18 @@ def test_serve_loadgen_gates():
         "regenerate with REPRO_UPDATE_BASELINES=1 if intentional")
 
 
-def test_http_keepalive_p50_gate():
+@pytest.fixture(scope="module")
+def small_store():
+    scenario = build_scenario(ScenarioConfig.small(seed=SEED))
+    itm = MapBuilder(scenario).build()
+    return MapStore.from_map(itm, graph=scenario.graph)
+
+
+def test_http_keepalive_p50_gate(small_store):
     """The seeded stream's first queries over one keep-alive
     ``http.client`` connection: every answer a 200, p50 under the
     ceiling (a ~44 ms p50 here means the delayed-ACK stall is back)."""
-    scenario = build_scenario(ScenarioConfig.small(seed=SEED))
-    itm = MapBuilder(scenario).build()
-    store = MapStore.from_map(itm, graph=scenario.graph)
+    store = small_store
     httpd = serve_http(MapService(store, cache_entries=4096), port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -217,3 +228,61 @@ def test_http_keepalive_p50_gate():
     assert p50 <= HTTP_P50_CEILING_MS, (
         f"keep-alive HTTP p50 {p50:.2f} ms over the "
         f"{HTTP_P50_CEILING_MS} ms ceiling")
+
+
+def test_http_aggregate_qps_gate(small_store):
+    """The whole seeded stream split across eight keep-alive
+    ``http.client`` connections replaying at once: every answer a 200
+    whose ``X-Map-Digest`` names the served map, and the aggregate
+    queries/sec over the floor."""
+    store = small_store
+    queries = seeded_queries(store, N_QUERIES, seed=SEED)
+    httpd = serve_http(MapService(store, cache_entries=4096), port=0)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    start = threading.Barrier(AGGREGATE_CLIENTS + 1, timeout=30)
+    wrong: List[Tuple[str, int, str]] = []
+    done: List[int] = []
+
+    def client(share: List[Query]) -> None:
+        conn = http.client.HTTPConnection("127.0.0.1", httpd.server_port,
+                                          timeout=30)
+        try:
+            conn.connect()
+            start.wait()
+            for query in share:
+                conn.request("GET", query.url_path())
+                response = conn.getresponse()
+                response.read()
+                digest = response.getheader("X-Map-Digest")
+                if response.status != 200 or digest != store.digest:
+                    wrong.append((query.url_path(), response.status,
+                                  digest))
+            done.append(len(share))
+        finally:
+            conn.close()
+
+    clients = [threading.Thread(target=client,
+                                args=(queries[i::AGGREGATE_CLIENTS],))
+               for i in range(AGGREGATE_CLIENTS)]
+    try:
+        for worker in clients:
+            worker.start()
+        start.wait()
+        began = time.perf_counter()
+        for worker in clients:
+            worker.join()
+        wall_s = time.perf_counter() - began
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+
+    assert not wrong, wrong[:5]
+    assert sum(done) == N_QUERIES, f"{sum(done)} of {N_QUERIES} answered"
+    qps = N_QUERIES / wall_s
+    print(f"\nserve http aggregate: {AGGREGATE_CLIENTS} keep-alive "
+          f"clients, {N_QUERIES} queries, {qps:.0f} qps")
+    assert qps >= AGGREGATE_QPS_FLOOR, (
+        f"{AGGREGATE_CLIENTS}-client aggregate {qps:.0f} qps under the "
+        f"{AGGREGATE_QPS_FLOOR:.0f} qps floor")

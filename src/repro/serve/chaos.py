@@ -173,7 +173,7 @@ def run_chaos(service: MapService, queries: Sequence[Query],
         label = classify_status(reply.status)
         telemetry.observe(reply.endpoint, label, clock.now() - started,
                           request_id=telemetry.next_request_id(),
-                          digest=service.digest)
+                          digest=reply.digest)
         if reply.status == 429:
             outcome["shed"] += 1
             if attempt >= max_attempts:

@@ -9,13 +9,16 @@ are ``{"error": ...}`` with the status carried by
 gate — with a ``Retry-After`` header, 503 draining or not ready, 504
 deadline expired, 500 bugs). Every response carries the served map's
 digest in an ``X-Map-Digest`` header so a client can detect a hot swap
-mid-session.
+mid-session; on a query it is :attr:`Reply.digest`, the map that
+produced the body.
 
 Every request but the ``/v1/metricsz`` scrape (answered here, ungated)
 goes through :meth:`MapService.handle`, the single request path the
 in-process replay and the chaos harness share: it parses, validates,
-admits and maps refusals to their status. The handler is transport
-only: the chaos client-disconnect check, the write, then observation.
+admits and maps refusals to their status, and returns the body already
+encoded (answers come out of the service's cache as bytes). The handler
+is transport only: the chaos client-disconnect check, the write of
+``reply.body`` as is, then observation.
 
 Every response also carries an ``X-Request-Id`` header (the inbound
 header value when the client sent one, a fresh sequential id
@@ -125,8 +128,9 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 reply = service.handle(self.path)
             except Exception as exc:  # pragma: no cover - bug surface
-                reply = Reply(500, {"error": f"internal error: {exc}"},
-                              _endpoint_label(url.path))
+                body = json.dumps({"error": f"internal error: {exc}"})
+                reply = Reply(500, body.encode(), _endpoint_label(url.path),
+                              service.digest, answered=False)
             chaos = service.chaos
             if reply.answered and chaos is not None \
                     and chaos.client_disconnect():
@@ -138,16 +142,16 @@ class _Handler(BaseHTTPRequestHandler):
                 service._recorder.count("serve.http.client_disconnects")
                 self.close_connection = True
                 disconnected = True
-            digest = service.digest
             elapsed = max(0.0, telemetry.now() - started)
             if not disconnected:
-                self._send(reply.status, reply.body, digest,
-                           retry_after=reply.retry_after,
-                           request_id=request_id)
+                self._send_bytes(reply.status, reply.body,
+                                 "application/json", reply.digest,
+                                 retry_after=reply.retry_after,
+                                 request_id=request_id)
             telemetry.observe(reply.endpoint,
                               classify_status(reply.status), elapsed,
                               status=reply.status, path=url.path,
-                              request_id=request_id, digest=digest)
+                              request_id=request_id, digest=reply.digest)
         finally:
             service.end_request()
 
@@ -182,11 +186,10 @@ class _Handler(BaseHTTPRequestHandler):
     do_PUT = do_DELETE = do_PATCH = do_POST
 
     def _send(self, status: int, payload: Dict[str, Any],
-              digest: str, retry_after: Optional[float] = None,
-              request_id: Optional[str] = None) -> None:
+              digest: str, request_id: Optional[str] = None) -> None:
         self._send_bytes(status, json.dumps(payload).encode(),
                          "application/json", digest,
-                         retry_after=retry_after, request_id=request_id)
+                         request_id=request_id)
 
     def _send_bytes(self, status: int, body: bytes, content_type: str,
                     digest: str, retry_after: Optional[float] = None,

@@ -158,7 +158,7 @@ def replay(service: MapService,
         elapsed_ns = time.perf_counter_ns() - t0
         outcome = classify_status(reply.status)
         telemetry.observe(reply.endpoint, outcome, elapsed_ns / 1e9,
-                          digest=service.digest)
+                          digest=reply.digest)
         if outcome == "shed":
             shed += 1
             continue

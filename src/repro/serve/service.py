@@ -7,10 +7,18 @@ chaos harness and the tests all talk to, through one request path:
 It owns three cross-cutting concerns so the transport does not have to:
 
 * **Answer cache** — a :class:`repro.lru.BoundedLru` keyed by
-  ``(map_digest, endpoint, params)``. The digest in the key is the
-  hot-swap invalidation: after :meth:`MapService.swap` every lookup
-  misses naturally and stale entries age out of the LRU — nothing is
-  ever explicitly flushed, so a swap cannot race an in-flight answer.
+  ``(map_digest, endpoint, params)`` that holds each answer already
+  encoded: ``json.dumps`` bytes, computed and encoded once on the miss.
+  A hit is sent as is; a batched ``/v1/cdf`` reply is spliced from its
+  per-target fragments into the ``{"digest", "results"}`` envelope, so
+  every body is byte-identical to ``json.dumps`` of its dict. The
+  digest in the key is the hot-swap invalidation: after
+  :meth:`MapService.swap` every lookup misses naturally and stale
+  entries age out of the LRU — nothing is ever explicitly flushed.
+  :meth:`MapService.handle` takes one store snapshot per request, so
+  every target of a batch, the envelope digest and the
+  :attr:`Reply.digest` the transport sends as ``X-Map-Digest`` name the
+  same map even when a swap lands mid-request.
 * **Counters** — ``serve.requests.<endpoint>``, ``serve.errors``,
   ``serve.swaps`` and the cache's ``serve.cache.*`` mirror on the
   attached :class:`repro.obs.Recorder`, so a served build's run manifest
@@ -27,6 +35,7 @@ It owns three cross-cutting concerns so the transport does not have to:
 from __future__ import annotations
 
 import contextlib
+import json
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -73,20 +82,19 @@ class QueryError(ReproError):
 
 @dataclass(frozen=True)
 class Reply:
-    """What :meth:`MapService.handle` answers: the status, the JSON body
-    (``{"error": ...}`` on a refusal), the telemetry endpoint label and,
+    """What :meth:`MapService.handle` answers: the status, the encoded
+    JSON body (``{"error": ...}`` on a refusal), the telemetry endpoint
+    label, the digest of the map that answered (the ``X-Map-Digest``
+    header), whether an answer was computed (a not-ready ``readyz``
+    included, so the client can still disconnect before the body) and,
     on a 429, the gate's retry hint in seconds."""
 
     status: int
-    body: Dict[str, Any]
+    body: bytes
     endpoint: str
+    digest: str
+    answered: bool
     retry_after: Optional[float] = None
-
-    @property
-    def answered(self) -> bool:
-        """An answer was computed (a not-ready ``readyz`` included), so
-        the client can still disconnect before the body."""
-        return "error" not in self.body
 
 
 def _endpoint_label(path: str) -> str:
@@ -296,60 +304,65 @@ class MapService:
         """Answer one raw request target, e.g. ``/v1/cdf?as=1,2``: the
         request path of every driver (HTTP, ``replay``, ``run_chaos``).
 
-        Only paths outside :data:`UNGATED_PATHS` pass :meth:`admit`.
-        Refusals become ``{"error": ...}`` replies with their status and a
-        not-ok ``/v1/readyz`` answers 503; any other exception is a bug
-        and propagates to the transport.
+        The served store is read once: the whole reply, batch targets
+        and digest included, comes from that snapshot. Only paths
+        outside :data:`UNGATED_PATHS` pass :meth:`admit`. Refusals
+        become ``{"error": ...}`` replies with their status and a not-ok
+        ``/v1/readyz`` answers 503; any other exception is a bug and
+        propagates to the transport.
         """
         url = urlsplit(target)
         path = url.path
+        label = _endpoint_label(path)
+        store = self.store
         params = parse_qs(url.query, keep_blank_values=True)
         try:
             if path in UNGATED_PATHS:
-                body = self._route(path, params)
+                status, body = self._route(store, path, params)
             else:
                 with self.admit():
-                    body = self._route(path, params)
+                    status, body = self._route(store, path, params)
         except QueryError as exc:
             # AdmissionError (429) and DeadlineExpired (504) are
             # QueryErrors too; only a shed carries a retry hint.
-            return Reply(exc.status, {"error": str(exc)},
-                         _endpoint_label(path),
-                         getattr(exc, "retry_after", None))
-        status = 200
-        if path == "/v1/readyz" and body.get("status") != "ok":
-            status = 503
-        return Reply(status, body, _endpoint_label(path))
+            return Reply(exc.status, json.dumps({"error": str(exc)}).encode(),
+                         label, store.digest, answered=False,
+                         retry_after=getattr(exc, "retry_after", None))
+        return Reply(status, body, label, store.digest, answered=True)
 
-    def _route(self, path: str,
-               params: Dict[str, List[str]]) -> Dict[str, Any]:
-        if path == "/v1/health":
-            return self.health()
-        if path == "/v1/healthz":
-            return self.alive()
-        if path == "/v1/readyz":
-            return self.ready()
+    def _route(self, store: MapStore, path: str,
+               params: Dict[str, List[str]]) -> Tuple[int, bytes]:
+        if path in ("/v1/health", "/v1/healthz", "/v1/readyz"):
+            # Probes report live state: encoded per request, never cached.
+            if path == "/v1/health":
+                probe = self._health(store)
+            elif path == "/v1/healthz":
+                probe = self.alive()
+            else:
+                probe = self._ready(store)
+            not_ready = path == "/v1/readyz" and probe["status"] != "ok"
+            return (503 if not_ready else 200), json.dumps(probe).encode()
         if path == "/v1/map":
-            return self.map_summary()
+            return 200, self._map_body(store)
         if path == "/v1/cdf":
             raw = _single(params, "as", required=True)
             asns = [_int_param(part, "as")
                     for part in raw.split(",") if part]
             weighted = _bool_param(_single(params, "weighted"), "weighted")
-            return self.cdf(asns, weighted=weighted)
+            return 200, self._cdf_body(store, asns, weighted)
         if path == "/v1/outage":
             asn = _single(params, "asn")
             hypergiant = _single(params, "hypergiant")
-            return self.outage(
-                asn=None if asn is None else _int_param(asn, "asn"),
-                hypergiant=hypergiant)
+            return 200, self._outage_body(
+                store, None if asn is None else _int_param(asn, "asn"),
+                hypergiant)
         if path == "/v1/anycast":
             service_key = _single(params, "service", required=True)
             prefix = _int_param(_single(params, "prefix", required=True),
                                 "prefix")
             k_raw = _single(params, "k")
             k = 3 if k_raw is None else _int_param(k_raw, "k")
-            return self.anycast(service_key, prefix, k=k)
+            return 200, self._anycast_body(store, service_key, prefix, k)
         raise QueryError(404, f"unknown endpoint {path!r}")
 
     def alive(self) -> Dict[str, Any]:
@@ -364,6 +377,9 @@ class MapService:
         the artefact watcher's circuit (when one is attached) is closed.
         The transport maps a not-ok status to HTTP 503.
         """
+        return self._ready(self.store)
+
+    def _ready(self, store: MapStore) -> Dict[str, Any]:
         self._recorder.count("serve.requests.readyz")
         reasons = []
         if self._draining.is_set():
@@ -372,24 +388,35 @@ class MapService:
         if circuit is not None and circuit.is_open:
             reasons.append("watch circuit open")
         return {"status": "ok" if not reasons else "unavailable",
-                "digest": self.digest,
+                "digest": store.digest,
                 "reasons": reasons}
 
     # -- endpoints ---------------------------------------------------------
+    #
+    # Each public method answers one endpoint as a dict, decoded from the
+    # bytes ``handle`` would send; the ``_*_body`` twins take the store
+    # snapshot and return those bytes.
 
     def health(self) -> Dict[str, Any]:
         """``/v1/health``: liveness plus the served digest (not cached)."""
+        return self._health(self.store)
+
+    def _health(self, store: MapStore) -> Dict[str, Any]:
         with self._lock:
             self._recorder.count("serve.requests.health")
-            return {"status": "ok",
-                    "digest": self._store.digest,
-                    "format_version": self._store.format_version}
+        return {"status": "ok",
+                "digest": store.digest,
+                "format_version": store.format_version}
 
     def map_summary(self) -> Dict[str, Any]:
         """``/v1/map``: identity, sizes and honesty labels of the served
         map — digest, format version, seed, component sizes, degraded
         components and their coverage caveats (§4.2)."""
-        return self._answer("map", (), self._compute_map_summary)
+        return json.loads(self._map_body(self.store))
+
+    def _map_body(self, store: MapStore) -> bytes:
+        return self._answer(store, "map", (),
+                            lambda: _compute_map_summary(store))
 
     def cdf(self, asns: Sequence[int],
             weighted: Optional[bool] = None) -> Dict[str, Any]:
@@ -402,17 +429,24 @@ class MapService:
         queries would. ``weighted`` selects one curve (``True``/``False``)
         or both plus their contrast (``None``).
         """
+        return json.loads(self._cdf_body(self.store, asns, weighted))
+
+    def _cdf_body(self, store: MapStore, asns: Sequence[int],
+                  weighted: Optional[bool]) -> bytes:
         if not asns:
             raise QueryError(400, "no target AS given")
         if len(asns) > self.max_cdf_batch:
             raise QueryError(
                 400, f"batch of {len(asns)} targets exceeds the "
                      f"limit of {self.max_cdf_batch}")
-        results = [self._answer("cdf", (int(asn), weighted),
-                                lambda a=int(asn): self._compute_cdf(
-                                    a, weighted))
-                   for asn in asns]
-        return {"digest": self.digest, "results": results}
+        fragments = [self._answer(store, "cdf", (int(asn), weighted),
+                                  lambda a=int(asn): _compute_cdf(
+                                      store, a, weighted))
+                     for asn in asns]
+        # json.dumps({"digest": ..., "results": [...]}) spliced from
+        # the cached per-target fragments, byte for byte.
+        return b'{"digest": %s, "results": [%s]}' % (
+            json.dumps(store.digest).encode(), b", ".join(fragments))
 
     def outage(self, asn: Optional[int] = None,
                hypergiant: Optional[str] = None) -> Dict[str, Any]:
@@ -424,30 +458,40 @@ class MapService:
         with the full single-AS report, several aggregate into the
         region-outage form.
         """
+        return json.loads(self._outage_body(self.store, asn, hypergiant))
+
+    def _outage_body(self, store: MapStore, asn: Optional[int],
+                     hypergiant: Optional[str]) -> bytes:
         if (asn is None) == (hypergiant is None):
             raise QueryError(
                 400, "exactly one of asn= and hypergiant= is required")
-        return self._answer("outage", (asn, hypergiant),
-                            lambda: self._compute_outage(asn, hypergiant))
+        return self._answer(store, "outage", (asn, hypergiant),
+                            lambda: _compute_outage(store, asn, hypergiant))
 
     def anycast(self, service_key: str, prefix: int,
                 k: int = 3) -> Dict[str, Any]:
         """``/v1/anycast``: which site serves a client prefix for one
         mapped service, and the k nearest same-organisation alternatives
         (§2.1's anycast-placement question)."""
+        return json.loads(
+            self._anycast_body(self.store, service_key, prefix, k))
+
+    def _anycast_body(self, store: MapStore, service_key: str,
+                      prefix: int, k: int) -> bytes:
         if k < 0:
             raise QueryError(400, f"k must be >= 0, got {k}")
-        return self._answer("anycast", (service_key, int(prefix), int(k)),
-                            lambda: self._compute_anycast(
-                                service_key, int(prefix), int(k)))
+        return self._answer(store, "anycast",
+                            (service_key, int(prefix), int(k)),
+                            lambda: _compute_anycast(
+                                store, service_key, int(prefix), int(k)))
 
-    # -- computation (store snapshot in hand, lock held) -------------------
+    # -- the answer cache --------------------------------------------------
 
-    def _answer(self, endpoint: str, params: Tuple,
-                compute) -> Dict[str, Any]:
+    def _answer(self, store: MapStore, endpoint: str, params: Tuple,
+                compute) -> bytes:
         # Cancellation checkpoint: a batched query abandons its
         # remaining targets the moment the admission deadline runs out
-        # (the per-target loop in cdf() re-enters here).
+        # (the per-target loop in _cdf_body() re-enters here).
         deadline = getattr(self._local, "deadline", None)
         if deadline is not None:
             deadline.check()
@@ -458,12 +502,12 @@ class MapService:
             chaos.on_answer(self, endpoint)
         with self._lock:
             self._recorder.count(f"serve.requests.{endpoint}")
-            key = (self._store.digest, endpoint, params)
+            key = (store.digest, endpoint, params)
             cached = self._cache.get(key)
             if cached is not None:
                 return cached
             try:
-                answer = compute()
+                answer = _encode_answer(compute())
             except ValidationError as exc:
                 self._recorder.count("serve.errors")
                 raise QueryError(404, str(exc)) from None
@@ -473,79 +517,90 @@ class MapService:
             self._cache.put(key, answer)
             return answer
 
-    def _compute_map_summary(self) -> Dict[str, Any]:
-        store = self._store
-        return {
-            "digest": store.digest,
-            "format_version": store.format_version,
-            "seed": store.seed,
-            "counts": store.counts(),
-            "techniques": list(store.techniques),
-            "route_predictability": store.predictability,
-            "degraded_components": store.degraded_components(),
-            "caveats": [{
-                "component": caveat.component,
-                "coverage": caveat.coverage,
-                "missing_techniques": list(caveat.missing_techniques),
-                "detail": caveat.detail,
-            } for caveat in coverage_caveats(store)],
+
+def _encode_answer(answer: Dict[str, Any]) -> bytes:
+    """The bytes a computed answer is cached and sent as: ``json.dumps``
+    with its default separators, so a body is byte-identical to
+    ``json.dumps`` of the answer dict."""
+    return json.dumps(answer).encode()
+
+
+# -- computation (store snapshot in hand, service lock held) ----------------
+
+def _compute_map_summary(store: MapStore) -> Dict[str, Any]:
+    return {
+        "digest": store.digest,
+        "format_version": store.format_version,
+        "seed": store.seed,
+        "counts": store.counts(),
+        "techniques": list(store.techniques),
+        "route_predictability": store.predictability,
+        "degraded_components": store.degraded_components(),
+        "caveats": [{
+            "component": caveat.component,
+            "coverage": caveat.coverage,
+            "missing_techniques": list(caveat.missing_techniques),
+            "detail": caveat.detail,
+        } for caveat in coverage_caveats(store)],
+    }
+
+
+def _compute_cdf(store: MapStore, asn: int,
+                 weighted: Optional[bool]) -> Dict[str, Any]:
+    contrast = store.cdf_contrast(asn)
+    out: Dict[str, Any] = {"as": asn, "metric": contrast.metric_name,
+                           "samples": len(contrast.weighted)}
+    if weighted is not True:
+        out["unweighted"] = _cdf_to_dict(contrast.unweighted)
+    if weighted is not False:
+        out["weighted"] = _cdf_to_dict(contrast.weighted)
+    if weighted is None:
+        out["median_shift"] = contrast.median_shift()
+    return out
+
+
+def _compute_outage(store: MapStore, asn: Optional[int],
+                    hypergiant: Optional[str]) -> Dict[str, Any]:
+    if asn is not None:
+        return {"digest": store.digest, "kind": "as",
+                "report": _outage_to_dict(store.outage_report(asn))}
+    asns = store.hypergiant_asns(hypergiant)
+    if len(asns) == 1:
+        report = _outage_to_dict(store.outage_report(asns[0]))
+        kind = "as"
+    else:
+        region = store.region_outage_report(asns)
+        report = {
+            "asns": list(region.asns),
+            "activity_share": region.activity_share,
+            "affected_prefix_count": region.affected_prefix_count,
+            "affected_services": list(region.affected_services),
+            "offnet_orgs_inside": list(region.offnet_orgs_inside),
         }
+        kind = "region"
+    return {"digest": store.digest, "kind": kind,
+            "hypergiant": hypergiant, "asns": list(asns),
+            "report": report}
 
-    def _compute_cdf(self, asn: int,
-                     weighted: Optional[bool]) -> Dict[str, Any]:
-        contrast = self._store.cdf_contrast(asn)
-        out: Dict[str, Any] = {"as": asn, "metric": contrast.metric_name,
-                               "samples": len(contrast.weighted)}
-        if weighted is not True:
-            out["unweighted"] = _cdf_to_dict(contrast.unweighted)
-        if weighted is not False:
-            out["weighted"] = _cdf_to_dict(contrast.weighted)
-        if weighted is None:
-            out["median_shift"] = contrast.median_shift()
-        return out
 
-    def _compute_outage(self, asn: Optional[int],
-                        hypergiant: Optional[str]) -> Dict[str, Any]:
-        store = self._store
-        if asn is not None:
-            return {"digest": store.digest, "kind": "as",
-                    "report": _outage_to_dict(store.outage_report(asn))}
-        asns = store.hypergiant_asns(hypergiant)
-        if len(asns) == 1:
-            report = _outage_to_dict(store.outage_report(asns[0]))
-            kind = "as"
-        else:
-            region = store.region_outage_report(asns)
-            report = {
-                "asns": list(region.asns),
-                "activity_share": region.activity_share,
-                "affected_prefix_count": region.affected_prefix_count,
-                "affected_services": list(region.affected_services),
-                "offnet_orgs_inside": list(region.offnet_orgs_inside),
-            }
-            kind = "region"
-        return {"digest": store.digest, "kind": kind,
-                "hypergiant": hypergiant, "asns": list(asns),
-                "report": report}
-
-    def _compute_anycast(self, service_key: str, prefix: int,
-                         k: int) -> Dict[str, Any]:
-        answer = self._store.anycast_answer(service_key, prefix, k=k)
-        return {
-            "digest": self._store.digest,
-            "service": answer.service_key,
-            "client_prefix": answer.client_pid,
-            "host_prefix": answer.host_pid,
-            "host_asn": answer.host_asn,
-            "organization": answer.organization,
-            "candidates": [{
-                "organization": c.organization,
-                "prefix_id": c.prefix_id,
-                "asn": c.asn,
-                "distance_km": c.distance_km,
-                "is_offnet": c.is_offnet,
-            } for c in answer.candidates],
-        }
+def _compute_anycast(store: MapStore, service_key: str, prefix: int,
+                     k: int) -> Dict[str, Any]:
+    answer = store.anycast_answer(service_key, prefix, k=k)
+    return {
+        "digest": store.digest,
+        "service": answer.service_key,
+        "client_prefix": answer.client_pid,
+        "host_prefix": answer.host_pid,
+        "host_asn": answer.host_asn,
+        "organization": answer.organization,
+        "candidates": [{
+            "organization": c.organization,
+            "prefix_id": c.prefix_id,
+            "asn": c.asn,
+            "distance_km": c.distance_km,
+            "is_offnet": c.is_offnet,
+        } for c in answer.candidates],
+    }
 
 
 def _single(params: Dict[str, List[str]], name: str,

@@ -505,6 +505,13 @@ def _mixed_queries(store):
     ]
 
 
+def _expected(reply):
+    """``(status, json.dumps(<the reply's dict>))``: what HTTP must send
+    for a ``handle`` reply, re-encoded from the decoded dict so a body
+    that is not ``json.dumps``'s default encoding fails the compare."""
+    return reply.status, json.dumps(json.loads(reply.body)).encode()
+
+
 class TestOneRequestPath:
     """HTTP and the in-process drivers answer through one path,
     ``MapService.handle``: the same query gets the same status and the
@@ -513,6 +520,7 @@ class TestOneRequestPath:
     def test_http_equals_handle(self, server, store):
         service = server.service
         statuses = []
+        bodies = []
         for query in _mixed_queries(store):
             url = (f"http://127.0.0.1:{server.server_port}"
                    f"{query.url_path()}")
@@ -522,16 +530,98 @@ class TestOneRequestPath:
             except urllib.error.HTTPError as exc:
                 status, body = exc.code, exc.read()
             reply = service.handle(query.url_path())
-            assert (status, body) == \
-                (reply.status, json.dumps(reply.body).encode()), query
+            assert (status, body) == _expected(reply), query
             statuses.append(status)
+            bodies.append(body)
         assert statuses == [200, 200, 400, 400, 400, 404, 400, 404]
-        weighted, unweighted = (
-            service.handle(q.url_path()).body["results"][0]
-            for q in _mixed_queries(store)[:2])
+        target = int(store.route_targets()[0])
+        weighted, unweighted = (service.cdf([target], weighted=flag)
+                                for flag in (True, False))
+        assert bodies[:2] == [json.dumps(weighted).encode(),
+                              json.dumps(unweighted).encode()]
+        weighted, unweighted = (weighted["results"][0],
+                                unweighted["results"][0])
         assert "weighted" in weighted and "unweighted" not in weighted
         assert "unweighted" in unweighted and "weighted" not in unweighted
         assert "median_shift" not in weighted
+
+    def test_second_pass_encodes_nothing(self, store, monkeypatch):
+        """Every answer is encoded once, on its cache miss: replaying
+        the stream again sends the cached bytes, identical to the first
+        pass, without a single answer encode."""
+        from repro.serve import service as service_module
+        encode = service_module._encode_answer
+        encodes = []
+
+        def spy(answer):
+            encodes.append(answer)
+            return encode(answer)
+
+        monkeypatch.setattr(service_module, "_encode_answer", spy)
+        service = MapService(store)
+        queries = seeded_queries(store, 300, seed=7)
+        first = [service.handle(q.url_path()) for q in queries]
+        misses = service.cache_stats().misses
+        assert len(encodes) == misses > 0
+        encodes.clear()
+        second = [service.handle(q.url_path()) for q in queries]
+        assert encodes == []
+        assert [(r.status, r.body) for r in second] == \
+            [(r.status, r.body) for r in first]
+        assert all(r.status == 200 for r in first)
+
+    def test_batch_never_mixes_maps_across_swap(self, store, small_itm,
+                                                small_scenario):
+        """A hot swap landing between two targets of one batched
+        ``/v1/cdf`` must not splice two maps into one body: the body is
+        one map's answer and ``X-Map-Digest`` names that map."""
+        payload = map_to_dict(small_itm)
+        activity = payload["users"]["activity_by_as"]
+        for asn in activity:    # reweight every client AS
+            activity[asn] *= 1.0 + (int(asn) % 7) / 10.0
+        variant = MapStore.from_map(
+            map_from_dict(payload, atlas=small_scenario.atlas,
+                          prefix_asn=small_scenario.prefixes.asn_array),
+            graph=small_scenario.graph)
+        a, b = (int(t) for t in store.route_targets()[:2])
+        old = MapService(store).cdf([a, b])
+        new = MapService(variant).cdf([a, b])
+        assert old["results"][0] != new["results"][0]
+        assert old["results"][1] != new["results"][1]
+
+        class SwapOnSecondTarget:
+            """Duck-typed chaos: swaps the map under the batch."""
+
+            def __init__(self):
+                self.answers = 0
+
+            def on_answer(self, service, endpoint):
+                self.answers += 1
+                if self.answers == 2:
+                    service.swap(variant)
+
+            def client_disconnect(self):
+                return False
+
+        service = MapService(store, chaos=SwapOnSecondTarget())
+        httpd = serve_http(service, port=0)
+        thread = threading.Thread(target=httpd.serve_forever,
+                                  daemon=True)
+        thread.start()
+        try:
+            url = (f"http://127.0.0.1:{httpd.server_port}"
+                   f"/v1/cdf?as={a},{b}")
+            with urllib.request.urlopen(url, timeout=30) as response:
+                body = response.read()
+                header = response.headers.get("X-Map-Digest")
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=10)
+        assert service.digest == variant.digest
+        assert (body, header) in (
+            (json.dumps(old).encode(), store.digest),
+            (json.dumps(new).encode(), variant.digest))
 
     def test_replay_counts_malformed_query(self, store):
         summary = replay(MapService(store), [Query("cdf", (("as", "x"),))])
@@ -577,8 +667,7 @@ class TestKeepAlive:
                 response = conn.getresponse()
                 status, body = response.status, response.read()
                 reply = service.handle(query.url_path())
-                assert (status, body) == \
-                    (reply.status, json.dumps(reply.body).encode()), query
+                assert (status, body) == _expected(reply), query
                 assert conn.sock is sock, f"connection closed after {query}"
         finally:
             conn.close()
