@@ -4,8 +4,8 @@ The delta layer's economic claim (docs/delta.md): absorbing a stream of
 substrate changes by recomputing only dirty stages beats rebuilding from
 scratch. Two acceptance gates at the small scenario:
 
-* **wall-time** — a 10-step activity-churn loop rebuilt with ``--delta``
-  costs under 35% of the same loop rebuilt fresh (the services stage,
+* **wall-time** — a 10-step activity-churn loop rebuilt with
+  ``--mutate --resume`` (the builder's ``delta=True``) costs under 35% of the same loop rebuilt fresh (the services stage,
   roughly three quarters of a small build, is reused on every step);
 * **baseline** — the final-step delta manifest, with deterministic
   ``delta.*`` reuse gauges folded in, classifies clean against the

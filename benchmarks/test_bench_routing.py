@@ -10,8 +10,8 @@ only require a 3x margin so slow CI machines do not flake.
 
 import pytest
 
-from repro.net.routing import (BgpSimulator, _compute_routes_reference,
-                               compute_routes)
+from repro.net.routing import BgpSimulator, compute_routes
+from tests.routing_reference import _compute_routes_reference
 
 
 @pytest.fixture(scope="module")

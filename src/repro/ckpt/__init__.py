@@ -2,10 +2,11 @@
 
 Each :class:`repro.core.builder.MapBuilder` stage can snapshot its
 output to a :class:`CheckpointStore` (content-addressed, atomically
-written); a build started with ``resume=True`` loads verified snapshots
-instead of recomputing, quarantines anything corrupt or incompatible,
-and — the subsystem's hard guarantee — produces a map bit-identical to
-a fresh uninterrupted build. :func:`run_supervised` wraps the
+written); a build started with ``resume=True`` loads every snapshot
+that verifies and whose recorded inputs match the stage's current ones,
+quarantines anything corrupt or incompatible, recomputes the rest, and
+— the subsystem's hard guarantee — produces a map bit-identical to a
+fresh uninterrupted build of the current world. :func:`run_supervised` wraps the
 build/crash/resume loop; see ``docs/checkpointing.md``.
 """
 

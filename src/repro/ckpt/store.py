@@ -12,14 +12,17 @@ On load the store verifies, in order: the file parses, the envelope
 schema version and stage name match, the config / fault-plan / options
 digests match the current build, and the body digest equals the
 recorded one. The body rides as the envelope's last member, stored as
-the exact bytes the digest covers — so the cheap meta checks (and a
-delta build's input-digest staleness check) run off a few hundred
-bytes of prefix, and integrity is one hash over the raw body slice,
-never a multi-megabyte re-encode. Any verification failure
-*quarantines* the snapshot (moves it to ``quarantine/`` and records
-the reason in the lineage) and reports a miss, so the builder
-recomputes the stage instead of trusting bad data — a wrong map is
-strictly worse than a slow one.
+the exact bytes the digest covers — so the cheap meta checks (and the
+input-digest staleness check) run off a few hundred bytes of prefix,
+and integrity is one hash over the raw body slice, never a
+multi-megabyte re-encode. Any verification failure *quarantines* the
+snapshot (moves it to ``quarantine/`` and records the reason in the
+lineage) and reports a miss, so the builder recomputes the stage
+instead of trusting bad data — a wrong map is strictly worse than a
+slow one. A snapshot whose recorded input digest differs from the
+stage's current one is *stale*: it describes another world, not a
+damaged file, so it is left in place (the recompute overwrites it)
+and reported as a miss.
 
 Layout under the checkpoint dir::
 
@@ -171,15 +174,14 @@ class CheckpointStore:
     def save(self, stage: str, payload: object,
              scopes: Dict[str, Dict],
              notes: Dict[str, List[str]],
-             input_digest: Optional[str] = None) -> Path:
+             input_digest: str) -> Path:
         """Atomically persist one stage's snapshot; returns its path.
 
         Any older snapshot of the same stage is removed after the new
         one is durably in place, so a reader never sees zero snapshots
-        where one existed. ``input_digest`` (when the builder computed
-        one) records what the stage's inputs hashed to at save time;
-        delta builds compare it on load. The saved body's digest is
-        exposed as :attr:`last_saved_digest`.
+        where one existed. ``input_digest`` records what the stage's
+        inputs hashed to at save time; :meth:`load` compares it. The
+        saved body's digest is exposed as :attr:`last_saved_digest`.
         """
         rec = self._recorder
         with rec.span("ckpt.save"):
@@ -198,10 +200,9 @@ class CheckpointStore:
                 "fault_plan_digest": self.fault_plan_digest,
                 "options_digest": self.options_digest,
                 "payload_sha256": digest,
+                "input_digest": input_digest,
                 "created_unix": time.time(),
             }
-            if input_digest is not None:
-                meta["input_digest"] = input_digest
             final = self.snapshot_dir / (
                 f"{stage}.{digest[:_NAME_DIGEST_LEN]}.json")
             tmp = self.snapshot_dir / f".{final.name}.tmp"
@@ -235,22 +236,17 @@ class CheckpointStore:
 
     # -- load -------------------------------------------------------------
 
-    def load(self, stage: str,
-             lineage: Optional[CheckpointLineage] = None,
-             input_digest: Optional[str] = None
-             ) -> Optional[LoadedSnapshot]:
-        """Verified snapshot for a stage, or None (miss / quarantined).
+    def load(self, stage: str, lineage: Optional[CheckpointLineage],
+             input_digest: str) -> Optional[LoadedSnapshot]:
+        """Verified, current snapshot for a stage, or None (a miss).
 
         A missing snapshot is a plain miss. A snapshot that fails
         verification is moved to ``quarantine/`` (reason recorded on
         ``lineage``) and also reported as a miss, so the caller
-        recomputes.
-
-        With ``input_digest`` (delta builds) a verified snapshot is
-        additionally required to carry the same recorded input digest.
-        A mismatch — or a snapshot written before input digests existed
-        — is *stale*, not corrupt: it is left in place (the recompute
-        will overwrite it) and reported as a miss.
+        recomputes. A verified snapshot whose recorded input digest
+        differs from ``input_digest`` is *stale*, not corrupt: it is
+        left in place (the recompute will overwrite it) and reported as
+        a miss.
         """
         rec = self._recorder
         paths = self.snapshot_paths(stage)
@@ -285,8 +281,7 @@ class CheckpointStore:
                 notes=body_obj["notes"],
                 digest=digest)
 
-    def _read_verified(self, path: Path, stage: str,
-                       input_digest: Optional[str]):
+    def _read_verified(self, path: Path, stage: str, input_digest: str):
         """Read + verify one snapshot file.
 
         Returns ``(quarantine_reason, is_stale, (digest, body))`` with
@@ -315,8 +310,7 @@ class CheckpointStore:
         reason = self._verify_meta(stage, meta)
         if reason is not None:
             return reason, False, None
-        if (input_digest is not None
-                and meta.get("input_digest") != input_digest):
+        if meta.get("input_digest") != input_digest:
             return None, True, None
         body_bytes = trimmed[marker + len(_BODY_MARKER):-1]
         digest = hashlib.sha256(body_bytes).hexdigest()

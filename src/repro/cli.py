@@ -15,9 +15,9 @@ Build commands (default: ``summary``):
   ``--map-json`` builds in-process first; ``--host/--port`` bind the
   socket, ``--cache-entries`` bounds the answer cache, ``--watch``
   hot-swaps the store when the artefact is rewritten (e.g. by a
-  ``--delta`` rebuild), ``--max-requests N`` exits after N requests
-  (smoke tests) and ``--access-log PATH`` appends one JSON line per
-  finished request (``--access-log-sample R`` applies seeded
+  ``--mutate --resume`` rebuild), ``--max-requests N`` exits after N
+  requests (smoke tests) and ``--access-log PATH`` appends one JSON
+  line per finished request (``--access-log-sample R`` applies seeded
   sampling);
 * ``obs top URL`` / ``obs tail FILE`` — live telemetry tooling: poll a
   running service's ``/v1/metricsz`` endpoint and render a qps /
@@ -54,19 +54,18 @@ also runs the auxiliary campaigns, so the manifest covers all eleven
 measurement campaigns. ``--map-json PATH`` writes the serialized map
 next to whatever the command prints.
 
-Crash recovery (see ``docs/checkpointing.md``): ``--checkpoint-dir D``
-snapshots every builder stage into ``D``; ``--resume`` loads the valid
-snapshots instead of recomputing; ``--crash-at STAGE`` arms a simulated
-crash at that stage boundary (exit code 3). The resumed map is
-bit-identical to an uninterrupted build.
-
-Incremental delta builds (see ``docs/delta.md``): ``--mutate PLAN.json``
-applies a :class:`repro.delta.MutationPlan` (BGP link churn, per-prefix
-activity swings, serving-site turnover) to the freshly-built world
-before the campaigns run; adding ``--delta`` (requires
-``--checkpoint-dir``) reuses the previous build's snapshots for every
-stage whose inputs the plan left untouched, recomputing only dirty
-stages — bit-identical to a fresh build of the mutated world.
+Snapshot reuse (see ``docs/checkpointing.md`` and ``docs/delta.md``):
+``--checkpoint-dir D`` snapshots every builder stage into ``D``, with
+the digest of the stage's inputs; ``--resume`` loads a stage's snapshot
+if and only if it verifies and its inputs are unchanged, recomputing the
+rest; ``--crash-at STAGE`` arms a simulated crash at that stage boundary
+(exit code 3, with the command to resume printed on stderr).
+``--mutate PLAN.json`` applies a :class:`repro.delta.MutationPlan` (BGP
+link churn, per-prefix activity swings, serving-site turnover) to the
+freshly-built world before the campaigns run; with ``--resume`` that is
+an incremental delta build, which recomputes only the stages the plan
+dirtied and records a ``delta`` manifest section. Either way the map is
+bit-identical to a fresh build of the current world.
 
 Exit codes: 0 success; 1 command-specific failure (e.g. failed claims);
 2 bad flags or unreadable inputs; 3 simulated crash; 4 regression found
@@ -81,6 +80,7 @@ import argparse
 import contextlib
 import json
 import os
+import shlex
 import signal
 import sys
 import threading
@@ -185,20 +185,17 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(atomic, content-addressed; see "
                              "docs/checkpointing.md)")
     parser.add_argument("--resume", action="store_true",
-                        help="load verified snapshots from "
-                             "--checkpoint-dir instead of recomputing "
-                             "(bit-identical to an uninterrupted build)")
+                        help="load every snapshot in --checkpoint-dir "
+                             "that verifies and whose inputs are "
+                             "unchanged, recomputing the rest; with "
+                             "--mutate, a delta build (bit-identical to "
+                             "a fresh build; see docs/delta.md)")
     parser.add_argument("--crash-at", metavar="STAGE", default=None,
                         help="simulate a crash at this stage boundary "
                              "(e.g. 'services'; exit code 3)")
     parser.add_argument("--mutate", metavar="PLAN", default=None,
                         help="apply a mutation-plan JSON (repro.delta) "
                              "to the world before building")
-    parser.add_argument("--delta", action="store_true",
-                        help="incremental build: reuse snapshots from "
-                             "--checkpoint-dir for every stage whose "
-                             "inputs the mutation plan left untouched "
-                             "(see docs/delta.md)")
     parser.add_argument("--map-json", metavar="PATH", default=None,
                         help="build commands: also write the serialized "
                              "map JSON to PATH; serve: the map artefact "
@@ -412,7 +409,8 @@ def _prepare(args: argparse.Namespace, recorder: Recorder):
                          recorder=recorder,
                          checkpoint_dir=args.checkpoint_dir,
                          resume=args.resume,
-                         delta=args.delta, delta_plan=plan)
+                         delta=args.resume and plan is not None,
+                         delta_plan=plan)
     itm = builder.build()
     if args.map_json is not None:
         from .core.serialize import map_to_json
@@ -516,18 +514,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _main(argv: Optional[List[str]]) -> int:
     """:func:`main` minus the broken-pipe guard."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     if args.command is None:
         args.command = "summary"
     if args.resume and args.checkpoint_dir is None:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.delta and args.checkpoint_dir is None:
-        print("--delta requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if args.delta and args.resume:
-        print("--delta and --resume are mutually exclusive",
-              file=sys.stderr)
         return 2
     try:
         _parse_faults(args)
@@ -540,7 +532,7 @@ def _main(argv: Optional[List[str]]) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
         try:
-            return _run(args)
+            return _run(args, argv)
         finally:
             profiler.disable()
             try:
@@ -552,7 +544,7 @@ def _main(argv: Optional[List[str]]) -> int:
                       file=sys.stderr)
             else:
                 print(f"wrote profile to {args.profile}", file=sys.stderr)
-    return _run(args)
+    return _run(args, argv)
 
 
 def _persist_observability(args: argparse.Namespace, builder: MapBuilder,
@@ -1022,7 +1014,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return _cmd_obs_top(args)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace, argv: List[str]) -> int:
     if args.command == "history":
         return _cmd_history(args)
     if args.command == "compare":
@@ -1037,11 +1029,29 @@ def _run(args: argparse.Namespace) -> int:
         # pipes a clean JSON document.
         stream = sys.stdout
         with contextlib.redirect_stdout(sys.stderr):
-            return _run_build(args, manifest_stream=stream)
-    return _run_build(args)
+            return _run_build(args, argv, manifest_stream=stream)
+    return _run_build(args, argv)
 
 
-def _run_build(args: argparse.Namespace,
+def _resume_command(argv: List[str]) -> str:
+    """The crashed command line re-armed as a resume, shell-quoted:
+    ``--crash-at STAGE`` (or an abbreviation of it) dropped, every
+    other flag kept, ``--resume`` added."""
+    kept: List[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        name = token.split("=", 1)[0]
+        if len(name) > 3 and "--crash-at".startswith(name):
+            if "=" not in token:
+                next(tokens, None)
+            continue
+        kept.append(token)
+    if "--resume" not in kept:
+        kept.insert(0, "--resume")
+    return "python -m repro " + shlex.join(kept)
+
+
+def _run_build(args: argparse.Namespace, argv: List[str],
                manifest_stream: Optional[TextIO] = None) -> int:
     recorder = _make_recorder(args)
     try:
@@ -1049,8 +1059,8 @@ def _run_build(args: argparse.Namespace,
     except SimulatedCrash as crash:
         print(f"build died: {crash}", file=sys.stderr)
         if args.checkpoint_dir is not None:
-            print(f"resume with: repro --checkpoint-dir "
-                  f"{args.checkpoint_dir} --resume", file=sys.stderr)
+            print(f"resume with: {_resume_command(argv)}",
+                  file=sys.stderr)
         return 3
     except ValidationError as exc:
         print(f"bad build flags: {exc}", file=sys.stderr)

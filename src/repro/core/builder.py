@@ -36,26 +36,26 @@ What happened is recorded in per-component :class:`ComponentCoverage`
 entries on the map, and — when a :class:`repro.obs.Recorder` is attached
 — in per-campaign counters and span timings for the run manifest.
 
-Crash recovery: constructed with a ``checkpoint_dir``, the builder
+Snapshot reuse: constructed with a ``checkpoint_dir``, the builder
 snapshots each stage's output (see :data:`PRIMARY_STAGES` /
-:data:`AUX_STAGES`) through a :class:`repro.ckpt.CheckpointStore`;
-``resume=True`` loads verified snapshots instead of recomputing. Every
-stage is a pure function of (config, fault plan, options) — all
-randomness flows through named substreams — so any mix of loaded and
-recomputed stages yields a map bit-identical to an uninterrupted build.
-A fault plan with ``crash_at=<stage>`` raises
-:class:`repro.faults.SimulatedCrash` at that stage boundary *after* the
-snapshot is durable, and never after a snapshot load, so a supervised
-resume always makes progress (``repro.ckpt.run_supervised``).
-
-Incremental delta builds (``delta=True``, see :mod:`repro.delta` and
-docs/delta.md): after a :class:`repro.delta.mutations.MutationPlan`
-mutated the scenario, the builder computes each stage's *input digest* —
-the substrate aspects it reads plus its upstream snapshots' digests —
-and reuses the previous build's snapshot whenever that digest matches
-what the snapshot recorded, recomputing only dirty stages. The result is
-bit-identical to a fresh build of the mutated world (regression-locked
-by ``tests/test_delta_identity.py``).
+:data:`AUX_STAGES`) through a :class:`repro.ckpt.CheckpointStore`,
+together with the stage's *input digest* — the substrate aspects it
+reads plus its upstream snapshots' digests (:mod:`repro.delta.digests`).
+With reuse on (``resume=True`` or ``delta=True``; one rule for both) a
+stage loads its snapshot if and only if the snapshot verifies and its
+recorded input digest equals the stage's current one; otherwise it
+recomputes. So a crashed build resumes, and a build of a world mutated
+by a :class:`repro.delta.mutations.MutationPlan` recomputes only the
+dirty stages (docs/delta.md). Every stage is a pure function of
+(config, fault plan, options, inputs) — all randomness flows through
+named substreams — so any mix of loaded and recomputed stages yields a
+map bit-identical to a fresh build of the current world
+(regression-locked by ``tests/test_delta_identity.py``). ``delta=True``
+only adds the manifest's ``delta`` section. A fault plan with
+``crash_at=<stage>`` raises :class:`repro.faults.SimulatedCrash` at that
+stage boundary *after* the snapshot is durable, and never after a
+snapshot load, so a supervised resume always makes progress
+(``repro.ckpt.run_supervised``).
 """
 
 from __future__ import annotations
@@ -244,14 +244,9 @@ class MapBuilder:
             raise ValidationError(
                 f"crash_at={crash_at!r} is not a stage of this build "
                 f"(stages: {', '.join(self.stages())})")
-        self._resume = bool(resume)
+        self._reuse = bool(resume or delta)
         self._delta = bool(delta)
         self._delta_plan = delta_plan
-        if self._delta and self._resume:
-            raise ValidationError(
-                "delta=True and resume=True are mutually exclusive: a "
-                "delta build already reuses every stage whose inputs "
-                "are unchanged")
         self._ckpt_store = None
         self.ckpt_lineage = None
         self._substrate = None
@@ -270,15 +265,12 @@ class MapBuilder:
                 options_digest=options_digest(self._options),
                 recorder=self._recorder)
             self.ckpt_lineage = CheckpointLineage(
-                checkpoint_dir=str(checkpoint_dir), resumed=self._resume)
+                checkpoint_dir=str(checkpoint_dir), resumed=bool(resume))
             self._substrate = SubstrateDigests(scenario)
-        elif resume:
+        elif self._reuse:
             raise ValidationError(
-                "resume=True needs a checkpoint_dir to resume from")
-        elif delta:
-            raise ValidationError(
-                "delta=True needs a checkpoint_dir holding the previous "
-                "build's snapshots")
+                "resume=True / delta=True need a checkpoint_dir holding "
+                "the previous build's snapshots")
 
     def stages(self) -> Tuple[str, ...]:
         """This build's checkpoint stage boundaries, in order."""
@@ -329,8 +321,13 @@ class MapBuilder:
                       note_components: Tuple[str, ...] = ()):
         """Run one stage through the checkpoint protocol.
 
-        With a store and ``resume=True``, a verified snapshot short-
-        circuits ``compute()``: the payload is decoded and the stage's
+        With a store and reuse on, a snapshot short-circuits
+        ``compute()`` if and only if it verifies and its recorded input
+        digest (substrate aspects + upstream snapshot digests,
+        :func:`repro.delta.digests.stage_input_digest`) equals the
+        stage's current one. A stage whose inputs changed — and, via
+        digest chaining, everything downstream of a changed output —
+        recomputes. On a load the payload is decoded and the stage's
         side effects — fault-scope counters of the ``campaigns`` it
         touched, note lists of the ``note_components`` it wrote — are
         restored *absolutely* (each snapshot carries the cumulative
@@ -340,31 +337,18 @@ class MapBuilder:
         An armed crash fires only after a fresh compute (and after its
         snapshot is durable), never after a load — that asymmetry is
         what makes supervised resume terminate.
-
-        With ``delta=True`` the snapshot must *additionally* match the
-        stage's input digest (substrate aspects + upstream snapshot
-        digests, :func:`repro.delta.digests.stage_input_digest`): only
-        stages whose inputs are untouched by the mutation plan are
-        reused; dirty stages — and everything downstream of a changed
-        output, via digest chaining — recompute. Every checkpointed
-        build records input digests at save time, so a plain build's
-        snapshots seed a later delta build.
         """
         lineage = self.ckpt_lineage
-        if lineage is not None:
-            lineage.stages_total += 1
         store = self._ckpt_store
-        input_digest = None
         if store is not None:
+            lineage.stages_total += 1
             # Imported lazily: repro.delta imports repro.scenario.
             from ..delta.digests import stage_input_digest
             input_digest = stage_input_digest(
                 stage, self._substrate, self._stage_output_digests)
             self._stage_input_digests[stage] = input_digest
-        if store is not None and (self._resume or self._delta):
-            snapshot = (store.load(stage, lineage,
-                                   input_digest=input_digest)
-                        if self._delta else store.load(stage, lineage))
+            snapshot = (store.load(stage, lineage, input_digest)
+                        if self._reuse else None)
             if snapshot is not None:
                 value = stage_payload_from_dict(
                     stage, snapshot.payload, atlas=self._scenario.atlas)
@@ -382,7 +366,6 @@ class MapBuilder:
                               for c in note_components},
                        input_digest=input_digest)
             self._stage_output_digests[stage] = store.last_saved_digest
-        if lineage is not None:
             lineage.stages_recomputed.append(stage)
         self._crash_if_armed(stage)
         return value

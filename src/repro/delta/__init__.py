@@ -16,9 +16,9 @@ serving sites come and go. This package makes those changes first-class:
   :func:`repro.scenario.build_scenario` used, so a mutated world is
   bit-identical to one generated mutated;
 * :mod:`repro.delta.digests` — per-aspect substrate digests and the
-  per-stage *input digests* the delta-aware
-  :class:`repro.core.builder.MapBuilder` compares against checkpoint
-  snapshots to decide which stages are dirty.
+  per-stage *input digests* a :class:`repro.core.builder.MapBuilder`
+  with reuse on compares against checkpoint snapshots to decide which
+  stages are dirty.
 
 The hard guarantee, regression-locked by ``tests/test_delta_identity.py``:
 ``delta_build(mutations)`` is bit-identical — map JSON, campaign

@@ -25,7 +25,7 @@ input set short-circuits to snapshot reuse (early cutoff).
 The stage tables here are cross-checked against
 ``repro.core.builder.PRIMARY_STAGES``/``AUX_STAGES`` in
 ``tests/test_delta.py``; the guarantee that they capture *everything*
-each stage reads is locked end-to-end by the churn identity matrix in
+each stage reads is locked end-to-end by the reuse identity matrix in
 ``tests/test_delta_identity.py``.
 """
 

@@ -14,8 +14,9 @@ plain HTTP/JSON using only the standard library:
   (``/v1/health``, ``/v1/map``, ``/v1/cdf``, ``/v1/outage``,
   ``/v1/anycast``; see ``docs/serving.md``);
 * :mod:`repro.serve.watch` — artefact watcher that reloads a map JSON
-  written by a ``--delta`` rebuild and swaps it in without dropping
-  requests, with a circuit breaker bounding broken-rewrite retries;
+  written by a ``--mutate --resume`` rebuild and swaps it in without
+  dropping requests, with a circuit breaker bounding broken-rewrite
+  retries;
 * :mod:`repro.serve.resilience` — overload protection: the admission
   gate (429 + ``Retry-After``), per-request deadlines (504), the
   watcher's circuit breaker and the virtual clock that makes chaos

@@ -111,49 +111,45 @@ class _Handler(BaseHTTPRequestHandler):
         service: MapService = self.server.service
         url = urlsplit(self.path)
         telemetry = service.telemetry
-        request_id = service.begin_request(self.headers.get("X-Request-Id"))
+        # An inbound X-Request-Id wins, so a caller can thread its own
+        # correlation id through; otherwise a sequential req-<n>.
+        request_id = (self.headers.get("X-Request-Id")
+                      or telemetry.next_request_id())
         if url.path == "/v1/metricsz":
             # The scrape observes the service without becoming part of
             # what it observes: it is never timed, logged or counted, so
             # a scrape taken after the last query exactly matches the
             # manifest flushed at shutdown.
-            try:
-                self._metricsz(service, url.query, request_id)
-            finally:
-                service.end_request()
+            self._metricsz(service, url.query, request_id)
             return
         started = telemetry.now()
         disconnected = False
         try:
-            try:
-                reply = service.handle(self.path)
-            except Exception as exc:  # pragma: no cover - bug surface
-                body = json.dumps({"error": f"internal error: {exc}"})
-                reply = Reply(500, body.encode(), _endpoint_label(url.path),
-                              service.digest, answered=False)
-            chaos = service.chaos
-            if reply.answered and chaos is not None \
-                    and chaos.client_disconnect():
-                # The simulated client went away before the body: abort
-                # the response and tear the connection down, exactly the
-                # failure a real disconnect leaves behind. The request
-                # still did the work, so it is observed below with the
-                # status it computed.
-                service._recorder.count("serve.http.client_disconnects")
-                self.close_connection = True
-                disconnected = True
-            elapsed = max(0.0, telemetry.now() - started)
-            if not disconnected:
-                self._send_bytes(reply.status, reply.body,
-                                 "application/json", reply.digest,
-                                 retry_after=reply.retry_after,
-                                 request_id=request_id)
-            telemetry.observe(reply.endpoint,
-                              classify_status(reply.status), elapsed,
-                              status=reply.status, path=url.path,
-                              request_id=request_id, digest=reply.digest)
-        finally:
-            service.end_request()
+            reply = service.handle(self.path)
+        except Exception as exc:  # pragma: no cover - bug surface
+            body = json.dumps({"error": f"internal error: {exc}"})
+            reply = Reply(500, body.encode(), _endpoint_label(url.path),
+                          service.digest, answered=False)
+        chaos = service.chaos
+        if reply.answered and chaos is not None \
+                and chaos.client_disconnect():
+            # The simulated client went away before the body: abort the
+            # response and tear the connection down, exactly the failure
+            # a real disconnect leaves behind. The request still did the
+            # work, so it is observed below with the status it computed.
+            service._recorder.count("serve.http.client_disconnects")
+            self.close_connection = True
+            disconnected = True
+        elapsed = max(0.0, telemetry.now() - started)
+        if not disconnected:
+            self._send_bytes(reply.status, reply.body,
+                             "application/json", reply.digest,
+                             retry_after=reply.retry_after,
+                             request_id=request_id)
+        telemetry.observe(reply.endpoint,
+                          classify_status(reply.status), elapsed,
+                          status=reply.status, path=url.path,
+                          request_id=request_id, digest=reply.digest)
 
     def _metricsz(self, service: MapService, query: str,
                   request_id: Optional[str]) -> None:

@@ -238,26 +238,6 @@ class MapService:
 
     # -- live telemetry ----------------------------------------------------
 
-    def begin_request(self, request_id: Optional[str] = None) -> str:
-        """Bind a request id to the calling thread and return it.
-
-        An inbound ``X-Request-Id`` header wins (so a caller can thread
-        its own correlation id through); otherwise a fresh sequential
-        ``req-<n>`` is assigned.  The id rides the thread through
-        admission → cache → compute and back out on the response.
-        """
-        rid = request_id or self.telemetry.next_request_id()
-        self._local.request_id = rid
-        return rid
-
-    @property
-    def current_request_id(self) -> Optional[str]:
-        """The id bound to the calling thread's in-flight request."""
-        return getattr(self._local, "request_id", None)
-
-    def end_request(self) -> None:
-        self._local.request_id = None
-
     def metrics_snapshot(self) -> Dict[str, Any]:
         """``/v1/metricsz?format=json``: full telemetry snapshot."""
         return {

@@ -1,7 +1,7 @@
 """Hot-reload: watch a map artefact and swap it into a live service.
 
-``--delta`` rebuilds (see ``docs/delta.md``) end by rewriting the map
-JSON artefact. :class:`ArtefactWatcher` polls that path; when the file's
+Delta rebuilds (``--mutate --resume``, see ``docs/delta.md``) end by
+rewriting the map JSON artefact. :class:`ArtefactWatcher` polls that path; when the file's
 (mtime, size) signature changes it reloads the artefact into a fresh
 :class:`~repro.core.mapstore.MapStore` and calls
 :meth:`~repro.serve.service.MapService.swap`. The swap is a single

@@ -71,7 +71,7 @@ def test_every_build_path_serves_one_digest(tmp_path):
     delta = served_digest(
         tmp_path / "delta.json",
         *cli_build(tmp_path / "delta.json", "--checkpoint-dir", ckpt,
-                   "--mutate", str(plan), "--delta"))
+                   "--mutate", str(plan), "--resume"))
     mutated = served_digest(
         tmp_path / "mutated.json",
         *cli_build(tmp_path / "mutated.json", "--mutate", str(plan)))

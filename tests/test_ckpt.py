@@ -23,11 +23,14 @@ from repro.faults import FaultContext, FaultKind, FaultPlan, SimulatedCrash
 from repro.obs import (RunManifest, Recorder, fault_plan_digest,
                        validate_manifest)
 
+from .test_delta_identity import NO_PLAN, SEEDS, reuse_case
+
 # Aux campaigns on so every stage boundary exists; moderate fault rates
 # so snapshots carry non-trivial scope state and notes.
 OPTS = BuilderOptions(run_auxiliary_campaigns=True)
 PLAN = FaultPlan.uniform(0.2, seed=11)
 ALL_STAGES = checkpoint_stages(OPTS)
+INPUTS = "i" * 64  # a stage input digest for the store-level tests
 
 
 @pytest.fixture(scope="module")
@@ -41,23 +44,8 @@ class TestCrashMatrix:
     """Crash at every stage boundary; supervisor resumes to the end."""
 
     @pytest.mark.parametrize("stage", ALL_STAGES)
-    def test_crash_then_resume_is_bit_identical(self, stage,
-                                                small_scenario,
-                                                fresh_json, tmp_path):
-        report = run_supervised(small_scenario, tmp_path / "ckpt",
-                                options=OPTS,
-                                faults=PLAN.with_crash_at(stage))
-        assert report.completed
-        assert report.crashes == 1
-        assert report.runs[0].crashed_at == stage
-        assert map_to_json(report.itm) == fresh_json
-        # The completing run reused everything up to and including the
-        # crashed stage (its snapshot landed before the crash fired).
-        final = report.runs[-1]
-        assert final.crashed_at is None
-        assert final.stages_reused == ALL_STAGES.index(stage) + 1
-        assert final.stages_reused + final.stages_recomputed \
-            == len(ALL_STAGES)
+    def test_crash_then_resume_is_bit_identical(self, stage):
+        reuse_case(SEEDS[0], NO_PLAN, PLAN, OPTS, prior="none", crash=stage)
 
     def test_crash_without_checkpointing_reproduces(self, small_scenario):
         builder = MapBuilder(small_scenario, options=OPTS,
@@ -69,7 +57,7 @@ class TestCrashMatrix:
                                                   tmp_path, monkeypatch):
         # Defeat the no-crash-after-load rule so resume never advances.
         monkeypatch.setattr(CheckpointStore, "load",
-                            lambda self, stage, lineage=None: None)
+                            lambda self, stage, lineage, input_digest: None)
         with pytest.raises(CheckpointError, match="gave up"):
             run_supervised(small_scenario, tmp_path / "ckpt",
                            faults=FaultPlan.none().with_crash_at("users"),
@@ -192,8 +180,8 @@ class TestStore:
         store = self.make(tmp_path)
         scopes = {"cache-probing": {"failed": False}}
         notes = {"users": ["a note"]}
-        store.save("users", {"x": [1, 2]}, scopes, notes)
-        snapshot = store.load("users")
+        store.save("users", {"x": [1, 2]}, scopes, notes, INPUTS)
+        snapshot = store.load("users", None, INPUTS)
         assert snapshot.stage == "users"
         assert snapshot.payload == {"x": [1, 2]}
         assert snapshot.scopes == scopes
@@ -201,61 +189,61 @@ class TestStore:
 
     def test_missing_snapshot_is_plain_miss(self, tmp_path):
         store = self.make(tmp_path)
-        assert store.load("users") is None
+        assert store.load("users", None, INPUTS) is None
         assert not store.quarantine_dir.exists()
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         store = self.make(tmp_path)
-        store.save("users", {"x": 1}, {}, {})
+        store.save("users", {"x": 1}, {}, {}, INPUTS)
         leftovers = [p for p in store.snapshot_dir.iterdir()
                      if p.suffix != ".json"]
         assert not leftovers
 
     def test_second_save_replaces_first(self, tmp_path):
         store = self.make(tmp_path)
-        store.save("users", {"x": 1}, {}, {})
-        store.save("users", {"x": 2}, {}, {})
+        store.save("users", {"x": 1}, {}, {}, INPUTS)
+        store.save("users", {"x": 2}, {}, {}, INPUTS)
         assert len(store.snapshot_paths("users")) == 1
-        assert store.load("users").payload == {"x": 2}
+        assert store.load("users", None, INPUTS).payload == {"x": 2}
 
     def test_tampered_payload_quarantined(self, tmp_path):
         store = self.make(tmp_path)
-        path = store.save("users", {"x": 1}, {}, {})
+        path = store.save("users", {"x": 1}, {}, {}, INPUTS)
         envelope = json.loads(path.read_text())
         envelope["body"]["payload"]["x"] = 666
         path.write_text(json.dumps(envelope, separators=(",", ":")))
-        assert store.load("users") is None
+        assert store.load("users", None, INPUTS) is None
         assert len(list(store.quarantine_dir.iterdir())) == 1
         assert not store.snapshot_paths("users")
 
     def test_unparseable_snapshot_quarantined(self, tmp_path):
         store = self.make(tmp_path)
-        path = store.save("users", {"x": 1}, {}, {})
+        path = store.save("users", {"x": 1}, {}, {}, INPUTS)
         path.write_text("{not json")
-        assert store.load("users") is None
+        assert store.load("users", None, INPUTS) is None
         assert len(list(store.quarantine_dir.iterdir())) == 1
 
     def test_stage_name_mismatch_quarantined(self, tmp_path):
         store = self.make(tmp_path)
-        path = store.save("users", {"x": 1}, {}, {})
+        path = store.save("users", {"x": 1}, {}, {}, INPUTS)
         path.rename(path.with_name(
             path.name.replace("users", "routes")))
-        assert store.load("routes") is None
+        assert store.load("routes", None, INPUTS) is None
 
     def test_digest_mismatch_quarantined(self, tmp_path):
         store = self.make(tmp_path)
-        store.save("users", {"x": 1}, {}, {})
+        store.save("users", {"x": 1}, {}, {}, INPUTS)
         other = self.make(tmp_path, options_digest="x" * 16)
-        assert other.load("users") is None
-        assert store.load("users") is None   # moved to quarantine
+        assert other.load("users", None, INPUTS) is None
+        assert store.load("users", None, INPUTS) is None  # quarantined
 
     def test_schema_version_mismatch_quarantined(self, tmp_path):
         store = self.make(tmp_path)
-        path = store.save("users", {"x": 1}, {}, {})
+        path = store.save("users", {"x": 1}, {}, {}, INPUTS)
         envelope = json.loads(path.read_text())
         envelope["format_version"] = 999
         path.write_text(json.dumps(envelope, separators=(",", ":")))
-        assert store.load("users") is None
+        assert store.load("users", None, INPUTS) is None
 
 
 class TestScopeState:

@@ -2,10 +2,12 @@
 
 import io
 import json
+import shlex
 
 import pytest
 
 from repro.cli import EXIT_INVALID_MANIFEST, EXIT_REGRESSION, main
+from repro.delta import ActivitySwing, MutationPlan
 
 
 class TestCli:
@@ -371,6 +373,52 @@ class TestCheckpointFlags:
                      "--resume", "--map-json", str(resumed),
                      "summary"]) == 0
         assert resumed.read_text() == fresh.read_text()
+
+    def test_resume_hint_reruns_the_crashed_command(self, tmp_path,
+                                                    capsys):
+        # The hint keeps every flag of the crashed command (a space in
+        # the dir exercises the quoting): run verbatim, it resumes the
+        # same world instead of quarantining its snapshots.
+        ckpt = tmp_path / "check points"
+        fresh = tmp_path / "fresh.json"
+        resumed = tmp_path / "resumed.json"
+        assert main(["--scale", "small", "--seed", "7", "--map-json",
+                     str(fresh), "summary"]) == 0
+        assert main(["--scale", "small", "--seed", "7", "--checkpoint-dir",
+                     str(ckpt), "--crash-at", "users", "--map-json",
+                     str(resumed), "summary"]) == 3
+        err = capsys.readouterr().err
+        hint = err.split("resume with: python -m repro ", 1)[1]
+        hint = hint.splitlines()[0]
+        assert "--crash-at" not in hint
+        assert main(shlex.split(hint)) == 0
+        assert not (ckpt / "quarantine").exists()
+        assert resumed.read_text() == fresh.read_text()
+
+    def test_mutate_with_resume_is_a_delta_build(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        plan = tmp_path / "plan.json"
+        metrics = tmp_path / "m.json"
+        MutationPlan(mutations=(ActivitySwing(prefix_ids=(0, 1),
+                                              factor=2.0),)).save(plan)
+        # --metrics turns the auxiliary campaigns on, and the builder
+        # options are part of snapshot compatibility: both runs take it.
+        assert main(["--scale", "small", "--checkpoint-dir", str(ckpt),
+                     "--metrics", str(metrics), "summary"]) == 0
+        assert main(["--scale", "small", "--checkpoint-dir", str(ckpt),
+                     "--mutate", str(plan), "--resume", "--metrics",
+                     str(metrics), "summary"]) == 0
+        delta = json.loads(metrics.read_text())["delta"]
+        assert delta["mutation_digest"] == MutationPlan.load(
+            str(plan)).digest()
+        assert "services" in delta["stages_reused"]
+
+    def test_delta_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--delta", "summary"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --delta" \
+            in capsys.readouterr().err
 
     def test_bad_crash_stage_exits_2(self, capsys):
         assert main(["--scale", "small", "--crash-at", "nope",

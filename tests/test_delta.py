@@ -33,6 +33,7 @@ from repro.delta import (ASPECTS, MUTATION_KINDS, STAGE_INPUTS,
                          apply_mutation_plan, mutation_from_dict,
                          stage_input_digest)
 from repro.errors import ValidationError
+from repro.faults import FaultPlan, SimulatedCrash
 from repro.obs import validate_manifest
 
 SEED = 20211110
@@ -328,6 +329,40 @@ class TestNegativeControls:
                                          "users"]
         assert lineage.stages_recomputed == ["services", "routes"]
 
+    def test_resume_compares_input_digests(self, seeded_ckpt):
+        # resume=True over a plain build's dir follows the one reuse
+        # rule: the swing's dirty stages recompute, so the map is the
+        # mutated world's, never the stale one.
+        plan = MutationPlan(mutations=(SWING,))
+        scenario, reference = small_world(), small_world()
+        for mutated in (scenario, reference):
+            apply_mutation_plan(mutated, plan)
+        builder = MapBuilder(scenario, checkpoint_dir=seeded_ckpt,
+                             resume=True)
+        same_map = map_to_json(builder.build()) \
+            == map_to_json(MapBuilder(reference).build())
+        assert same_map, "resume reused stale snapshots"
+        assert builder.ckpt_lineage.stages_reused == ["root-logs",
+                                                      "services"]
+
+    def test_crashed_delta_build_resumes_to_fresh_map(self, seeded_ckpt):
+        # The delta build dies at users, after saving current snapshots
+        # up to it; routes is still the plain build's, and the demand
+        # swing moves routes, so resume must recompute it.
+        plan = MutationPlan(mutations=(
+            ActivitySwing(prefix_ids=tuple(range(40)), factor=8.0),))
+        scenario, reference = small_world(), small_world()
+        for mutated in (scenario, reference):
+            apply_mutation_plan(mutated, plan)
+        with pytest.raises(SimulatedCrash, match="users"):
+            MapBuilder(scenario, checkpoint_dir=seeded_ckpt, delta=True,
+                       delta_plan=plan,
+                       faults=FaultPlan.none().with_crash_at("users")).build()
+        resumed = MapBuilder(scenario, checkpoint_dir=seeded_ckpt,
+                             resume=True).build()
+        assert map_to_json(resumed) == map_to_json(
+            MapBuilder(reference).build()), "resume reused stale routes"
+
     def test_stale_snapshots_are_not_quarantined(self, seeded_ckpt):
         # Dirty != corrupt: the swing invalidates three snapshots, but
         # they are overwritten in place, never moved to quarantine/.
@@ -341,11 +376,6 @@ class TestBuilderFlagValidation:
     def test_delta_requires_checkpoint_dir(self):
         with pytest.raises(ValidationError, match="checkpoint_dir"):
             MapBuilder(small_world(), delta=True)
-
-    def test_delta_excludes_resume(self, tmp_path):
-        with pytest.raises(ValidationError, match="mutually exclusive"):
-            MapBuilder(small_world(), checkpoint_dir=tmp_path / "c",
-                       delta=True, resume=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,26 @@
-"""The delta-build identity guarantee, locked by a churn matrix.
+"""Snapshot reuse is one identity, locked by one matrix.
 
-The contract (ISSUE 7 tentpole, docs/delta.md): for any mutation plan,
-
-    delta_build(mutations)  ==  fresh_build(mutated_world)
-
-bit-for-bit — the map JSON, the campaign records (minus execution
-provenance: wall-clock times, and the ``ran`` flag, which truthfully
-stays False for campaigns restored from a snapshot) and the coverage
-provenance. The matrix crosses every mutation
-kind with several seeds and with faults on/off, and every non-empty case
-must also *reuse* at least one stage, otherwise "delta" silently means
-"fresh" and the identity is vacuous.
-
-Builds here are small but numerous; each case constructs two worlds from
-the same seed (one mutated in place after a baseline checkpointed build,
-one mutated immediately after generation) so nothing leaks between
-parametrizations or into the shared session fixtures.
+Whatever the checkpoint dir holds, a build with reuse on equals a fresh
+serial build of the current world: map, campaign records (minus the
+execution provenance ``wall_s``/``ran``) and coverage (docs/delta.md).
+Every cell runs :func:`reuse_case` over three axes — what the dir holds
+first (``prior``), a ``crash`` stage or none, and ``workers``. A cell
+with a mutation plan builds its own world; plan-free cells share one
+per seed, since builds never change a world's substrate.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import tempfile
+from dataclasses import replace
 
 import pytest
 
 from repro import ScenarioConfig, build_scenario
-from repro.core.builder import BuilderOptions, MapBuilder
+from repro.ckpt import run_supervised
+from repro.core.builder import PRIMARY_STAGES, BuilderOptions, MapBuilder
 from repro.core.serialize import map_to_json
 from repro.delta import (ActivitySwing, LinkChurn, MutationPlan,
                          SiteTurnover, apply_mutation_plan)
@@ -33,15 +28,20 @@ from repro.faults import FaultPlan
 from repro.obs import Recorder, validate_manifest
 
 SEEDS = (20211110, 7, 99)
+KINDS = ("link-churn", "activity-swing", "site-turnover")
+FAULTS = {"clean": None, "faulty": FaultPlan.uniform(0.2, seed=11)}
+NO_PLAN = MutationPlan(mutations=())
 
-FAULTS = {
-    "clean": None,
-    "faulty": FaultPlan.uniform(0.2, seed=11),
-}
+# Swings enough demand to move the users component and its routes.
+SWING_40 = MutationPlan(mutations=(
+    ActivitySwing(prefix_ids=tuple(range(40)), factor=8.0),))
 
 
 def world(seed):
     return build_scenario(ScenarioConfig.small(seed=seed))
+
+
+probe = functools.lru_cache(maxsize=None)(world)  # never mutated
 
 
 def plan_for(kind: str, scenario) -> MutationPlan:
@@ -49,8 +49,7 @@ def plan_for(kind: str, scenario) -> MutationPlan:
     the scenario it was derived from *and* for any same-config world."""
     if kind == "link-churn":
         a, b, rel = sorted(scenario.graph.edges())[0]
-        step = LinkChurn(op="remove", a=a, b=b,
-                         relationship=rel.value)
+        step = LinkChurn(op="remove", a=a, b=b, relationship=rel.value)
     elif kind == "activity-swing":
         step = ActivitySwing(prefix_ids=(0, 1, 2, 3, 4), factor=4.0)
     else:
@@ -63,109 +62,130 @@ def plan_for(kind: str, scenario) -> MutationPlan:
 
 def composite_plan(scenario) -> MutationPlan:
     """One plan dirtying every aspect a mutation can reach."""
-    steps = (plan_for("link-churn", scenario).mutations
-             + plan_for("activity-swing", scenario).mutations
-             + plan_for("site-turnover", scenario).mutations)
-    return MutationPlan(mutations=steps)
+    return MutationPlan(mutations=sum(
+        (plan_for(kind, scenario).mutations for kind in KINDS), ()))
 
 
-# Campaign-record fields that describe *this process's execution*, not
-# the measurement outcome: a reused stage's campaigns truthfully did not
-# run (ran=False, wall_s=None) — the restored content must still match.
-EXECUTION_PROVENANCE = ("wall_s", "ran")
+def identity(builder, itm):
+    """(map digest, campaign records sans execution provenance,
+    coverage): what a reuse build must share with a fresh one."""
+    payload = builder.manifest().to_dict()
+    campaigns = {name: {k: v for k, v in record.items()
+                        if k not in ("wall_s", "ran")}
+                 for name, record in payload["campaigns"].items()}
+    digest = hashlib.sha256(map_to_json(itm).encode()).hexdigest()
+    return digest, campaigns, payload["coverage"]
 
 
-def campaign_content(manifest) -> dict:
-    """Campaign records minus execution provenance (wall_s, ran)."""
-    payload = manifest.to_dict()
-    return {name: {k: v for k, v in record.items()
-                   if k not in EXECUTION_PROVENANCE}
-            for name, record in payload["campaigns"].items()}
-
-
-def identity_case(seed, plan, faults, options=None):
-    """Run one matrix cell; returns the delta builder for extra asserts.
-
-    Asserts the three identity surfaces: map JSON, campaign records
-    (sans wall times) and coverage provenance.
-    """
-    # Reference: generate the world, mutate it, build from scratch.
+@functools.lru_cache(maxsize=None)
+def fresh_identity(seed, plan, faults, options):
+    """The :func:`identity` of a fresh serial build of the mutated world."""
     reference = world(seed)
     apply_mutation_plan(reference, plan)
-    fresh_builder = MapBuilder(reference, options=options, faults=faults,
-                               recorder=Recorder())
-    fresh_json = map_to_json(fresh_builder.build())
-    fresh_manifest = fresh_builder.manifest()
-
-    # Delta: same seed, baseline checkpointed build, then mutate the
-    # *live* scenario and delta-build against the stale snapshots.
-    return check_delta(fresh_json, fresh_manifest, seed, plan, faults,
-                       options)
+    builder = MapBuilder(reference, options=options, faults=faults,
+                         recorder=Recorder())
+    return identity(builder, builder.build())
 
 
-def check_delta(fresh_json, fresh_manifest, seed, plan, faults, options):
-    with tempfile.TemporaryDirectory(prefix="delta-ident-") as root:
-        scenario = world(seed)
-        MapBuilder(scenario, options=options, faults=faults,
-                   checkpoint_dir=root).build()
+def reuse_case(seed, plan, faults=None, options=None, *,
+               prior="pre-mutation", crash=None, workers=1):
+    """Run one matrix cell; returns the completing builder.
+
+    The dir first holds ``prior`` ("none", the "same" world, or the
+    "pre-mutation" one); then a delta build of the mutated world runs,
+    or :func:`run_supervised` with a ``crash`` stage armed.
+    """
+    options = options or BuilderOptions()
+    fresh = fresh_identity(seed, plan, faults, options)
+    options = replace(options, workers=workers)
+    scenario = world(seed) if len(plan) else probe(seed)
+    with tempfile.TemporaryDirectory(prefix="reuse-ident-") as root:
+        def build(**reuse):
+            builder = MapBuilder(scenario, options=options, faults=faults,
+                                 recorder=Recorder(), checkpoint_dir=root,
+                                 **reuse)
+            return builder, builder.build()
+
+        if prior == "pre-mutation":
+            build()
         apply_mutation_plan(scenario, plan)
-        builder = MapBuilder(scenario, options=options, faults=faults,
-                             recorder=Recorder(), checkpoint_dir=root,
-                             delta=True, delta_plan=plan)
-        delta_json = map_to_json(builder.build())
-
-        assert delta_json == fresh_json, \
-            "delta build diverged from fresh build of the mutated world"
-        delta_manifest = builder.manifest()
-        assert campaign_content(delta_manifest) \
-            == campaign_content(fresh_manifest)
-        assert delta_manifest.to_dict()["coverage"] \
-            == fresh_manifest.to_dict()["coverage"]
-        if len(plan):
-            assert builder.ckpt_lineage.stages_reused, \
-                "no stage reused — the delta identity is vacuous"
-        assert not builder.ckpt_lineage.quarantined
-        return builder
+        if prior == "same":
+            build()
+        if crash is None:
+            builder, itm = build(delta=True, delta_plan=plan)
+        else:
+            armed = (faults or FaultPlan.none()).with_crash_at(crash)
+            report = run_supervised(scenario, root, options=options,
+                                    faults=armed, recorder_factory=Recorder)
+            builder, itm = report.builder, report.itm
+        assert identity(builder, itm) == fresh
+    lineage = builder.ckpt_lineage
+    assert not lineage.quarantined
+    assert sorted(lineage.stages_reused + lineage.stages_recomputed) \
+        == sorted(builder.stages())
+    if crash is not None:
+        # A crash fires only after a compute, never after a load; once
+        # fired, the restart reuses every stage up to it.
+        fired = prior == "none" or report.crashes > 0
+        assert [r.crashed_at for r in report.runs] == [crash] * fired + [None]
+        stages = builder.stages()
+        upto = stages[:stages.index(crash) + 1] if fired else [crash]
+        assert set(upto) <= set(lineage.stages_reused)
+    if prior == "same":
+        assert not lineage.stages_recomputed
+    elif prior == "pre-mutation" and len(plan):
+        assert lineage.stages_reused, "no stage reused: vacuous identity"
+    return builder
 
 
 class TestChurnMatrix:
     @pytest.mark.parametrize("fault_key", sorted(FAULTS))
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kind", ["link-churn", "activity-swing",
-                                      "site-turnover"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_single_kind_identity(self, kind, seed, fault_key):
-        plan = plan_for(kind, world(seed))
-        identity_case(seed, plan, FAULTS[fault_key])
+        plan = plan_for(kind, probe(seed))
+        reuse_case(seed, plan, FAULTS[fault_key])
 
     def test_composite_plan_identity_with_aux(self):
         # Every aspect dirty at once, with the auxiliary campaigns on so
         # the aux stage boundaries are part of the identity too.
         seed = SEEDS[0]
-        plan = composite_plan(world(seed))
+        plan = composite_plan(probe(seed))
         options = BuilderOptions(run_auxiliary_campaigns=True)
-        builder = identity_case(seed, plan, FAULTS["faulty"],
-                                options=options)
-        lineage = builder.ckpt_lineage
+        builder = reuse_case(seed, plan, FAULTS["faulty"], options)
         # Population is the one aspect no mutation dirties, and
         # root-logs is the one stage that reads nothing else.
-        assert lineage.stages_reused == ["root-logs"]
-        assert set(lineage.stages_recomputed) \
-            == set(builder.stages()) - {"root-logs"}
+        assert builder.ckpt_lineage.stages_reused == ["root-logs"]
         manifest = builder.manifest(command="summary", scale="small")
         validate_manifest(manifest.to_dict())
         delta = manifest.to_dict()["delta"]
-        assert delta["kinds"] == ["link-churn", "activity-swing",
-                                  "site-turnover"]
+        assert delta["kinds"] == list(KINDS)
         assert delta["aspects"] == ["routing", "activity", "serving"]
         assert delta["mutation_count"] == 3
         assert delta["mutation_digest"] == plan.digest()
 
     def test_empty_plan_identity(self):
-        # Degenerate matrix cell: no mutation at all. The delta build
-        # must reuse everything and still equal the fresh build.
-        builder = identity_case(SEEDS[0], MutationPlan(mutations=()),
-                                None)
+        # Degenerate cell: no mutation at all, so everything is reused.
+        builder = reuse_case(SEEDS[0], NO_PLAN)
         assert not builder.ckpt_lineage.stages_recomputed
+
+    # Cells the old crash and churn suites never ran. A crash fires only
+    # after a compute, so one at a stage whose snapshot is current never
+    # fires; no mutation dirties root-logs, so its cell has an empty dir.
+    @pytest.mark.parametrize("plan_key, prior, crash, workers", [
+        ("swing-40", "pre-mutation", "cache-probing", 1),
+        ("composite", "none", "root-logs", 2),
+        ("swing-40", "pre-mutation", "users", 1),
+        ("composite", "pre-mutation", "services", 1),
+        ("swing-40", "pre-mutation", "routes", 2),
+        ("composite", "pre-mutation", None, 2),
+        ("none", "same", "services", 2),
+    ])
+    def test_reuse_cell(self, plan_key, prior, crash, workers):
+        plan = (composite_plan(probe(SEEDS[0])) if plan_key == "composite"
+                else {"none": NO_PLAN, "swing-40": SWING_40}[plan_key])
+        reuse_case(SEEDS[0], plan, FAULTS["faulty"], prior=prior,
+                   crash=crash, workers=workers)
 
 
 class TestChurnSequences:
@@ -174,40 +194,31 @@ class TestChurnSequences:
         from hypothesis import HealthCheck, given, settings
         from hypothesis import strategies as st
 
-        probe = world(SEEDS[0])
-        edges = sorted(probe.graph.edges())[:6]
-        hg = next(k for k, sites in
-                  sorted(probe.deployment.sites_by_hypergiant.items())
-                  if len(sites) >= 3)
-        n_sites = len(probe.deployment.sites_by_hypergiant[hg])
+        sample = probe(SEEDS[0])
+        churns = [LinkChurn(op="remove", a=a, b=b, relationship=rel.value)
+                  for a, b, rel in sorted(sample.graph.edges())[:6]]
+        hg, sites = next(
+            item for item in sorted(sample.deployment.sites_by_hypergiant
+                                    .items()) if len(item[1]) >= 3)
+        swing = st.builds(ActivitySwing, prefix_ids=st.lists(
+            st.integers(0, 63), min_size=1, max_size=4, unique=True).map(
+                tuple), factor=st.sampled_from((0.5, 2.0)))
+        retire = st.builds(SiteTurnover, hypergiant_key=st.just(hg),
+                           site_id=st.integers(0, len(sites) - 1),
+                           op=st.just("retire"))
+        # 1-2 link removals, up to one swing and one retirement, any order.
+        plans = st.tuples(
+            st.lists(st.sampled_from(churns), min_size=1, max_size=2,
+                     unique=True),
+            st.lists(swing, max_size=1), st.lists(retire, max_size=1),
+        ).flatmap(lambda parts: st.permutations(sum(parts, [])))
 
-        @st.composite
-        def plans(draw):
-            steps = []
-            for index in draw(st.lists(st.integers(0, len(edges) - 1),
-                                       min_size=1, max_size=2,
-                                       unique=True)):
-                a, b, rel = edges[index]
-                steps.append(LinkChurn(op="remove", a=a, b=b,
-                                       relationship=rel.value))
-            if draw(st.booleans()):
-                ids = draw(st.lists(st.integers(0, 63), min_size=1,
-                                    max_size=4, unique=True))
-                steps.append(ActivitySwing(
-                    prefix_ids=tuple(ids),
-                    factor=draw(st.sampled_from((0.5, 2.0)))))
-            if draw(st.booleans()):
-                steps.append(SiteTurnover(
-                    hypergiant_key=hg,
-                    site_id=draw(st.integers(0, n_sites - 1)),
-                    op="retire"))
-            return MutationPlan(mutations=tuple(draw(
-                st.permutations(steps))))
-
-        @given(plan=plans())
+        @given(steps=plans,
+               crash=st.sampled_from((None,) + PRIMARY_STAGES))
         @settings(max_examples=5, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
-        def holds(plan):
-            identity_case(SEEDS[0], plan, None)
+        def holds(steps, crash):
+            reuse_case(SEEDS[0], MutationPlan(mutations=tuple(steps)),
+                       crash=crash)
 
         holds()

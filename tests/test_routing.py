@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
 from repro.net.relationships import ASGraph, Relationship
-from repro.net.routing import (BgpSimulator, Route, RouteKind,
-                               _compute_routes_reference, compute_routes)
+from repro.net.routing import BgpSimulator, Route, RouteKind, compute_routes
+
+from .routing_reference import _compute_routes_reference
 
 
 def chain_graph():
