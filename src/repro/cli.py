@@ -89,7 +89,7 @@ from typing import Dict, List, Optional, TextIO
 
 from . import ScenarioConfig, build_scenario
 from .errors import ConfigError, ValidationError
-from .faults import FaultPlan, RetryPolicy, SimulatedCrash
+from .faults import SERVE_KINDS, FaultPlan, RetryPolicy, SimulatedCrash
 from .analysis.claims import ClaimSuite
 from .analysis.figures import (fig1a_prefixes_per_pop,
                                fig1b_coverage_and_servers,
@@ -526,6 +526,15 @@ def _main(argv: Optional[List[str]]) -> int:
     except ConfigError as exc:
         print(f"bad --faults flags: {exc}", file=sys.stderr)
         return 2
+    if getattr(args, "chaos", None) is not None:
+        # Parsed before any world is built, like --faults; the plan
+        # replaces the spec string.
+        try:
+            args.chaos = FaultPlan.parse(args.chaos, seed=args.chaos_seed,
+                                         kinds=SERVE_KINDS)
+        except ConfigError as exc:
+            print(f"bad --chaos spec: {exc}", file=sys.stderr)
+            return 2
     if args.profile is not None:
         import cProfile
         import pstats
@@ -715,49 +724,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_chaos_plan(spec: str, seed: int):
-    """Parse a ``--chaos`` spec into a serve-side :class:`FaultPlan`.
-
-    ``spec`` is a comma list of ``kind=rate`` over the serve kinds
-    (``slow_handler``, ``artefact_corruption``, ``cache_eviction_storm``,
-    ``client_disconnect``); the pseudo-kind ``all`` sets every serve
-    kind at once. Build-side kinds are rejected — chaos arms the
-    serving path only.
-    """
-    from .faults import SERVE_KINDS, FaultKind, FaultPlan
-    values: Dict[str, float] = {}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, sep, raw = token.partition("=")
-        if not sep:
-            raise ValidationError(
-                f"bad chaos spec entry {token!r}: expected kind=rate")
-        try:
-            rate = float(raw)
-        except ValueError:
-            raise ValidationError(
-                f"bad chaos rate {raw!r} for {name.strip()!r}") from None
-        name = name.strip()
-        if name == "all":
-            for kind in SERVE_KINDS:
-                values[kind.value] = rate
-            continue
-        try:
-            kind = FaultKind(name)
-        except ValueError:
-            kind = None
-        if kind is None or kind not in SERVE_KINDS:
-            known = ", ".join(k.value for k in SERVE_KINDS)
-            raise ValidationError(
-                f"unknown chaos kind {name!r} (known: all, {known})")
-        values[kind.value] = rate
-    plan = FaultPlan(seed=seed, **values)
-    plan.validate()
-    return plan
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: HTTP/JSON query service over a built map.
 
@@ -820,13 +786,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             recorder=recorder)
     chaos = None
     if args.chaos is not None:
-        try:
-            plan = _parse_chaos_plan(args.chaos, args.chaos_seed)
-        except ValidationError as exc:
-            print(f"bad --chaos spec: {exc}", file=sys.stderr)
-            return 2
-        chaos = ChaosEngine(plan, recorder=recorder)
-        print(f"serve: chaos armed ({plan.describe()}, "
+        chaos = ChaosEngine(args.chaos, recorder=recorder)
+        print(f"serve: chaos armed ({args.chaos.describe()}, "
               f"seed {args.chaos_seed})", file=sys.stderr)
     access_log = None
     if args.access_log is not None:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigError, ReproError
 
@@ -253,18 +253,25 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, spec: str, seed: int = 0,
-              retry: Optional[RetryPolicy] = None) -> "FaultPlan":
+              retry: Optional[RetryPolicy] = None,
+              kinds: Sequence[FaultKind] = tuple(FaultKind)) -> "FaultPlan":
         """Parse a CLI-style plan spec.
 
         ``spec`` is a comma-separated list of ``kind=rate`` entries, e.g.
-        ``"probe_loss=0.2,rootlog_truncation=0.5"``. The pseudo-kind
-        ``all`` sets every rate-based kind at once (later entries
-        override it); ``crash_at=<stage>`` arms a targeted crash at a
-        builder stage boundary instead of a rate.
+        ``"probe_loss=0.2,rootlog_truncation=0.5"``, over the ``kinds``
+        it may name (every kind by default; ``SERVE_KINDS`` for
+        ``repro serve --chaos``). The pseudo-kind ``all`` sets every
+        rate-based kind of ``kinds`` at once (later entries override
+        it); ``crash_at=<stage>`` arms a targeted crash at a builder
+        stage boundary instead of a rate, when ``kinds`` has CRASH.
 
         >>> FaultPlan.parse("probe_loss=0.2").probe_loss
         0.2
         """
+        rate_kinds = [kind for kind in kinds if kind in RATE_KINDS]
+        names = [kind.value for kind in rate_kinds]
+        crash = FaultKind.CRASH in kinds
+        known = ", ".join(["all"] + ["crash_at"] * crash + names)
         values: Dict[str, object] = {}
         for token in spec.split(","):
             token = token.strip()
@@ -275,28 +282,22 @@ class FaultPlan:
                 raise ConfigError(
                     f"bad fault spec entry {token!r}: expected kind=rate")
             name = name.strip()
-            if name == "crash_at":
+            if crash and name == "crash_at":
                 values["crash_at"] = raw.strip()
                 continue
-            if name == FaultKind.CRASH.value:
+            if crash and name == FaultKind.CRASH.value:
                 raise ConfigError(
                     "crash takes a stage name: use crash_at=<stage>")
+            if name != "all" and name not in names:
+                raise ConfigError(
+                    f"unknown fault kind {name!r} (known: {known})")
             try:
                 rate = float(raw)
             except ValueError:
                 raise ConfigError(
                     f"bad fault rate {raw!r} for {name!r}") from None
-            if name == "all":
-                for kind in RATE_KINDS:
-                    values[kind.value] = rate
-            else:
-                try:
-                    kind = FaultKind(name)
-                except ValueError:
-                    known = ", ".join(k.value for k in RATE_KINDS)
-                    raise ConfigError(
-                        f"unknown fault kind {name!r} "
-                        f"(known: all, crash_at, {known})") from None
+            for kind in (rate_kinds if name == "all"
+                         else [FaultKind(name)]):
                 values[kind.value] = rate
         plan = cls(seed=seed, retry=retry or RetryPolicy(), **values)
         plan.validate()

@@ -18,8 +18,10 @@ Injection points (the serve-side ``FaultKind``\\ s):
   :class:`~repro.serve.resilience.VirtualClock`, real sleep otherwise);
 * ``cache_eviction_storm`` — the answer cache is flushed under the
   request, recomputing warm entries;
-* ``client_disconnect`` — the transport abandons the response after
-  computing it (HTTP: the connection closes without a body);
+* ``client_disconnect`` — :meth:`ChaosEngine.client_disconnect`, drawn
+  by ``MapService.handle`` after an answer: the reply is flagged
+  ``disconnected`` and the driver abandons it (HTTP: the connection
+  closes without a body; :func:`run_chaos`: a ``disconnects`` count);
 * ``artefact_corruption`` — the watcher's freshly loaded artefact is
   declared corrupt, exercising the reload-failure circuit.
 
@@ -29,7 +31,9 @@ requests retried with jittered exponential backoff honoring the gate's
 retry hint — whose outcome counts are a pure function of
 ``(map, queries, plan seed, chaos seed)``. Every attempt takes the
 server's own request path, :meth:`~repro.serve.service.MapService.handle`,
-so the harness follows its admission policy and outcome labels.
+so the harness follows its admission policy and outcome labels, and
+leaves the timing, request ids, observation and client-disconnect draw
+to it: the harness only schedules arrivals and retries.
 """
 
 from __future__ import annotations
@@ -141,6 +145,13 @@ def run_chaos(service: MapService, queries: Sequence[Query],
     ``giveups``, ``deadline_expired``, ``http_errors``,
     ``disconnects``), the chaos engine's per-kind fires, and the total
     simulated duration.
+
+    Each attempt is timed and observed by ``handle`` on the service
+    telemetry's clock, so the latency histograms, the rolling window
+    and the access log are deterministic only when that telemetry was
+    built on this same :class:`VirtualClock`; on the default wall
+    clock they record real time. Observation never feeds back into
+    scheduling, so the outcome counts are deterministic either way.
     """
     clock = clock if clock is not None else VirtualClock()
     arrivals = substream(seed, "serve", "chaos", "arrivals")
@@ -158,22 +169,12 @@ def run_chaos(service: MapService, queries: Sequence[Query],
     outcome = {"queries": len(queries), "completed": 0, "shed": 0,
                "retries": 0, "giveups": 0, "deadline_expired": 0,
                "http_errors": 0, "disconnects": 0}
-    # Live telemetry rides the same virtual clock: every attempt is
-    # timed in simulated seconds, so histograms are a pure function of
-    # the run's inputs and same-seed runs stay bit-identical with
-    # telemetry enabled. Observation never feeds back into scheduling.
-    telemetry = service.telemetry
-    chaos = service.chaos
 
     while events:
         due, __, index, attempt = heapq.heappop(events)
         clock.advance(due - clock.now())
-        started = clock.now()
         reply = service.handle(queries[index].url_path())
         label = classify_status(reply.status)
-        telemetry.observe(reply.endpoint, label, clock.now() - started,
-                          request_id=telemetry.next_request_id(),
-                          digest=reply.digest)
         if reply.status == 429:
             outcome["shed"] += 1
             if attempt >= max_attempts:
@@ -189,8 +190,7 @@ def run_chaos(service: MapService, queries: Sequence[Query],
                            (clock.now() + delay, sequence, index,
                             attempt + 1))
             sequence += 1
-        elif reply.answered and chaos is not None \
-                and chaos.client_disconnect():
+        elif reply.disconnected:
             outcome["disconnects"] += 1
         elif label == "ok":
             outcome["completed"] += 1
@@ -199,6 +199,6 @@ def run_chaos(service: MapService, queries: Sequence[Query],
         else:
             outcome["http_errors"] += 1
     outcome["duration_s"] = clock.now()
-    if chaos is not None:
-        outcome["chaos"] = chaos.counters()
+    if service.chaos is not None:
+        outcome["chaos"] = service.chaos.counters()
     return outcome

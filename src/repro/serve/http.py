@@ -12,18 +12,22 @@ digest in an ``X-Map-Digest`` header so a client can detect a hot swap
 mid-session; on a query it is :attr:`Reply.digest`, the map that
 produced the body.
 
-Every request but the ``/v1/metricsz`` scrape (answered here, ungated)
-goes through :meth:`MapService.handle`, the single request path the
-in-process replay and the chaos harness share: it parses, validates,
-admits and maps refusals to their status, and returns the body already
-encoded (answers come out of the service's cache as bytes). The handler
-is transport only: the chaos client-disconnect check, the write of
-``reply.body`` as is, then observation.
+Every GET, the ``/v1/metricsz`` scrape included, goes through
+:meth:`MapService.handle`, the single request path the in-process
+replay and the chaos harness share: it parses, validates, admits, maps
+refusals to their status, times, identifies and observes the request,
+makes the chaos client-disconnect draw, and returns the body already
+encoded with its content type. The handler is transport only: it
+passes the inbound ``X-Request-Id`` header, then either writes
+``reply.body`` as is or, on a simulated disconnect, closes the
+connection without a body. The request-line and header parse before
+``handle`` and the socket write after it are outside the recorded
+latency.
 
 Every response also carries an ``X-Request-Id`` header (the inbound
-header value when the client sent one, a fresh sequential id
-otherwise); the same id lands in the JSONL access log when one is
-attached, so a slow response can be joined to its log record.
+header value when the client sent one, a fresh sequential id drawn by
+``handle`` otherwise); the same id lands in the JSONL access log when
+one is attached, so a slow response can be joined to its log record.
 
 Connections are HTTP/1.1 keep-alive with ``TCP_NODELAY`` set, since the
 headers and body go out in two writes and Nagle would hold the body
@@ -40,12 +44,9 @@ from __future__ import annotations
 import json
 import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
-from urllib.parse import parse_qs, urlsplit
+from typing import Optional
 
-from ..obs.live import classify_status
-from .service import (MapService, QueryError, Reply, _endpoint_label,
-                      _single)
+from .service import JSON_CONTENT_TYPE, MapService
 
 
 class QueryServer(ThreadingHTTPServer):
@@ -109,83 +110,38 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         service: MapService = self.server.service
-        url = urlsplit(self.path)
-        telemetry = service.telemetry
         # An inbound X-Request-Id wins, so a caller can thread its own
-        # correlation id through; otherwise a sequential req-<n>.
-        request_id = (self.headers.get("X-Request-Id")
-                      or telemetry.next_request_id())
-        if url.path == "/v1/metricsz":
-            # The scrape observes the service without becoming part of
-            # what it observes: it is never timed, logged or counted, so
-            # a scrape taken after the last query exactly matches the
-            # manifest flushed at shutdown.
-            self._metricsz(service, url.query, request_id)
-            return
-        started = telemetry.now()
-        disconnected = False
+        # correlation id through; otherwise handle draws a req-<n>.
         try:
-            reply = service.handle(self.path)
-        except Exception as exc:  # pragma: no cover - bug surface
+            reply = service.handle(self.path,
+                                   self.headers.get("X-Request-Id") or None)
+        except Exception as exc:
+            # A bug: handle has already observed it as a 500.
             body = json.dumps({"error": f"internal error: {exc}"})
-            reply = Reply(500, body.encode(), _endpoint_label(url.path),
-                          service.digest, answered=False)
-        chaos = service.chaos
-        if reply.answered and chaos is not None \
-                and chaos.client_disconnect():
+            self._send_bytes(500, body.encode(), JSON_CONTENT_TYPE,
+                             service.digest,
+                             request_id=getattr(exc, "request_id", None))
+            return
+        if reply.disconnected:
             # The simulated client went away before the body: abort the
             # response and tear the connection down, exactly the failure
-            # a real disconnect leaves behind. The request still did the
-            # work, so it is observed below with the status it computed.
+            # a real disconnect leaves behind.
             service._recorder.count("serve.http.client_disconnects")
             self.close_connection = True
-            disconnected = True
-        elapsed = max(0.0, telemetry.now() - started)
-        if not disconnected:
-            self._send_bytes(reply.status, reply.body,
-                             "application/json", reply.digest,
-                             retry_after=reply.retry_after,
-                             request_id=request_id)
-        telemetry.observe(reply.endpoint,
-                          classify_status(reply.status), elapsed,
-                          status=reply.status, path=url.path,
-                          request_id=request_id, digest=reply.digest)
-
-    def _metricsz(self, service: MapService, query: str,
-                  request_id: Optional[str]) -> None:
-        params = parse_qs(query, keep_blank_values=True)
-        try:
-            fmt = _single(params, "format")
-        except QueryError as exc:
-            self._send(exc.status, {"error": str(exc)}, service.digest,
-                       request_id=request_id)
             return
-        if fmt in (None, "text"):
-            self._send_bytes(200, service.metrics_text().encode("utf-8"),
-                             "text/plain; version=0.0.4; charset=utf-8",
-                             service.digest, request_id=request_id)
-        elif fmt == "json":
-            self._send(200, service.metrics_snapshot(), service.digest,
-                       request_id=request_id)
-        else:
-            self._send(400, {"error": f"unknown format {fmt!r} "
-                                      "(expected text or json)"},
-                       service.digest, request_id=request_id)
+        self._send_bytes(reply.status, reply.body, reply.content_type,
+                         reply.digest, retry_after=reply.retry_after,
+                         request_id=reply.request_id)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         # The request body is never read, so the connection cannot be
         # reused: the stdlib would parse that body as the next request.
         self.close_connection = True
-        self._send(405, {"error": "only GET is supported"},
-                   self.server.service.digest)
+        body = json.dumps({"error": "only GET is supported"}).encode()
+        self._send_bytes(405, body, JSON_CONTENT_TYPE,
+                         self.server.service.digest)
 
     do_PUT = do_DELETE = do_PATCH = do_POST
-
-    def _send(self, status: int, payload: Dict[str, Any],
-              digest: str, request_id: Optional[str] = None) -> None:
-        self._send_bytes(status, json.dumps(payload).encode(),
-                         "application/json", digest,
-                         request_id=request_id)
 
     def _send_bytes(self, status: int, body: bytes, content_type: str,
                     digest: str, retry_after: Optional[float] = None,

@@ -10,7 +10,9 @@ gateable.
 
 :func:`replay` drives a :class:`~repro.serve.service.MapService`
 in-process through ``MapService.handle``, the request path the HTTP
-handler calls too (measures the query layer alone); :func:`replay_http`
+handler calls too (measures the query layer alone; ``handle`` records
+the service-side telemetry, access log included, and ``replay`` keeps
+only its own client-side samples); :func:`replay_http`
 drives a running server over ``urllib`` (measures the full transport),
 either closed-loop (next request waits for the previous answer) or
 open-loop (``open_loop_rate``: seeded Poisson arrivals fire on schedule
@@ -150,15 +152,12 @@ def replay(service: MapService,
     latencies: List[int] = []
     http_errors = 0
     shed = 0
-    telemetry = service.telemetry
     started = time.perf_counter()
     for query in queries:
         t0 = time.perf_counter_ns()
         reply = service.handle(query.url_path())
         elapsed_ns = time.perf_counter_ns() - t0
         outcome = classify_status(reply.status)
-        telemetry.observe(reply.endpoint, outcome, elapsed_ns / 1e9,
-                          digest=reply.digest)
         if outcome == "shed":
             shed += 1
             continue

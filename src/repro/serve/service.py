@@ -4,7 +4,13 @@ MapStore`.
 :class:`MapService` is what the HTTP layer, the load generator, the
 chaos harness and the tests all talk to, through one request path:
 :meth:`MapService.handle` (raw request target in, :class:`Reply` out).
-It owns three cross-cutting concerns so the transport does not have to:
+It is also the one observation point: ``handle`` times every request
+on the telemetry's clock from its entry to its return, gives it a
+request id, makes the chaos client-disconnect draw and records it once
+in the live telemetry (histograms, rolling window, access log). The
+``/v1/metricsz`` scrape is answered there too, and is never timed,
+counted or logged. The drivers only move bytes. It owns three more
+cross-cutting concerns so the transport does not have to:
 
 * **Answer cache** — a :class:`repro.lru.BoundedLru` keyed by
   ``(map_digest, endpoint, params)`` that holds each answer already
@@ -45,7 +51,7 @@ from ..core.mapstore import MapStore
 from ..core.uncertainty import coverage_caveats
 from ..errors import ReproError, ValidationError
 from ..lru import BoundedLru, CacheStats
-from ..obs.live import LiveTelemetry, render_prometheus
+from ..obs.live import LiveTelemetry, classify_status, render_prometheus
 from ..obs.recorder import Recorder, resolve_recorder
 
 #: Endpoints whose answers are memoized (identity-keyed by map digest).
@@ -67,6 +73,10 @@ UNGATED_PATHS = ("/v1/health", "/v1/healthz", "/v1/readyz",
 _ENDPOINT_LABELS = ("health", "healthz", "readyz", "map", "cdf",
                     "outage", "anycast")
 
+JSON_CONTENT_TYPE = "application/json"
+#: Content type of the Prometheus text exposition ``/v1/metricsz`` sends.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
 
 class QueryError(ReproError):
     """A query the map cannot answer; carries the HTTP status to emit.
@@ -83,17 +93,19 @@ class QueryError(ReproError):
 @dataclass(frozen=True)
 class Reply:
     """What :meth:`MapService.handle` answers: the status, the encoded
-    JSON body (``{"error": ...}`` on a refusal), the telemetry endpoint
-    label, the digest of the map that answered (the ``X-Map-Digest``
-    header), whether an answer was computed (a not-ready ``readyz``
-    included, so the client can still disconnect before the body) and,
-    on a 429, the gate's retry hint in seconds."""
+    body (``{"error": ...}`` on a refusal) and its content type, the
+    telemetry endpoint label, the digest of the map that answered (the
+    ``X-Map-Digest`` header), the request id (``X-Request-Id``), whether
+    the chaos-simulated client went away before the body, and, on a
+    429, the gate's retry hint in seconds."""
 
     status: int
     body: bytes
     endpoint: str
     digest: str
-    answered: bool
+    request_id: str
+    content_type: str = JSON_CONTENT_TYPE
+    disconnected: bool = False
     retry_after: Optional[float] = None
 
 
@@ -107,8 +119,8 @@ def _endpoint_label(path: str) -> str:
 
 class MapArtefactError(ReproError):
     """A map artefact that cannot be served: missing file, invalid JSON,
-    not the canonical encoding, wrong format version, or prefix ids
-    outside the scenario context."""
+    not the canonical encoding, wrong format version, built under
+    another seed, or prefix ids outside the scenario context."""
 
 
 def load_store(path: str, scenario) -> MapStore:
@@ -122,7 +134,11 @@ def load_store(path: str, scenario) -> MapStore:
     unreadable, unparseable or incompatible artefact raises
     :class:`MapArtefactError` with a one-line reason; so does one with
     a newline byte, which the canonical encoding never has (an indented
-    artefact, as older CLIs wrote).
+    artefact, as older CLIs wrote), and so does one whose recorded
+    ``seed`` is not the scenario's: that world's context would answer
+    cross-component queries wrongly under the artefact's digest. A
+    mutation plan leaves no trace in the artefact, so a mismatched one
+    cannot be refused here.
     """
     from ..core.serialize import map_from_json
     try:
@@ -138,6 +154,11 @@ def load_store(path: str, scenario) -> MapStore:
     try:
         itm = map_from_json(artefact, atlas=scenario.atlas,
                             prefix_asn=scenario.prefixes.asn_array)
+        seed = itm.metadata.get("seed")
+        if seed != scenario.config.seed:
+            raise ValidationError(
+                f"map artefact was built with seed {seed}, not the "
+                f"served scenario's seed {scenario.config.seed}")
         return MapStore.from_map(itm, graph=scenario.graph,
                                  artefact=artefact)
     except ValidationError as exc:
@@ -280,35 +301,85 @@ class MapService:
             finally:
                 self._local.deadline = None
 
-    def handle(self, target: str) -> Reply:
+    def handle(self, target: str,
+               request_id: Optional[str] = None) -> Reply:
         """Answer one raw request target, e.g. ``/v1/cdf?as=1,2``: the
-        request path of every driver (HTTP, ``replay``, ``run_chaos``).
+        request path of every driver (HTTP, ``replay``, ``run_chaos``)
+        and the one place a request is timed and observed.
 
-        The served store is read once: the whole reply, batch targets
-        and digest included, comes from that snapshot. Only paths
-        outside :data:`UNGATED_PATHS` pass :meth:`admit`. Refusals
+        ``request_id`` is the caller's correlation id (HTTP passes an
+        inbound ``X-Request-Id``); without one a sequential ``req-<n>``
+        is drawn. The served store is read once: the whole reply, batch
+        targets and digest included, comes from that snapshot. Only
+        paths outside :data:`UNGATED_PATHS` pass :meth:`admit`. Refusals
         become ``{"error": ...}`` replies with their status and a not-ok
-        ``/v1/readyz`` answers 503; any other exception is a bug and
-        propagates to the transport.
+        ``/v1/readyz`` answers 503. An answered request then takes the
+        chaos client-disconnect draw. Every request but the
+        ``/v1/metricsz`` scrape is observed once, with its latency from
+        this method's entry to its return on the telemetry's clock. Any
+        other exception is a bug: it is observed as a 500 and
+        propagates, carrying the request id as ``request_id``.
         """
+        telemetry = self.telemetry
+        started = telemetry.now()
+        if request_id is None:
+            request_id = telemetry.next_request_id()
         url = urlsplit(target)
         path = url.path
-        label = _endpoint_label(path)
         store = self.store
         params = parse_qs(url.query, keep_blank_values=True)
+        if path == "/v1/metricsz":
+            return self._scrape(store, params, request_id)
+        label = _endpoint_label(path)
+        status = 500    # until answered or refused: a bug is a 500
+        retry_after = None
+        disconnected = False
         try:
             if path in UNGATED_PATHS:
                 status, body = self._route(store, path, params)
             else:
                 with self.admit():
                     status, body = self._route(store, path, params)
+            chaos = self.chaos
+            disconnected = chaos is not None and chaos.client_disconnect()
         except QueryError as exc:
             # AdmissionError (429) and DeadlineExpired (504) are
             # QueryErrors too; only a shed carries a retry hint.
-            return Reply(exc.status, json.dumps({"error": str(exc)}).encode(),
-                         label, store.digest, answered=False,
-                         retry_after=getattr(exc, "retry_after", None))
-        return Reply(status, body, label, store.digest, answered=True)
+            status, body = exc.status, _error_body(str(exc))
+            retry_after = getattr(exc, "retry_after", None)
+        except Exception as exc:
+            exc.request_id = request_id
+            raise
+        finally:
+            telemetry.observe(label, classify_status(status),
+                              telemetry.now() - started, status=status,
+                              path=path, request_id=request_id,
+                              digest=store.digest)
+        return Reply(status, body, label, store.digest, request_id,
+                     disconnected=disconnected, retry_after=retry_after)
+
+    def _scrape(self, store: MapStore, params: Dict[str, List[str]],
+                request_id: str) -> Reply:
+        """``/v1/metricsz``: the scrape observes the service without
+        becoming part of what it observes (never timed, counted or
+        logged), so a scrape taken after the last query exactly matches
+        the manifest flushed at shutdown."""
+        content_type = JSON_CONTENT_TYPE
+        try:
+            fmt = _single(params, "format")
+            if fmt in (None, "text"):
+                body = self.metrics_text().encode("utf-8")
+                content_type = PROMETHEUS_CONTENT_TYPE
+            elif fmt == "json":
+                body = json.dumps(self.metrics_snapshot()).encode()
+            else:
+                raise QueryError(400, f"unknown format {fmt!r} "
+                                      "(expected text or json)")
+            status = 200
+        except QueryError as exc:
+            status, body = exc.status, _error_body(str(exc))
+        return Reply(status, body, "metricsz", store.digest, request_id,
+                     content_type=content_type)
 
     def _route(self, store: MapStore, path: str,
                params: Dict[str, List[str]]) -> Tuple[int, bytes]:
@@ -496,6 +567,10 @@ class MapService:
                 raise
             self._cache.put(key, answer)
             return answer
+
+
+def _error_body(message: str) -> bytes:
+    return json.dumps({"error": message}).encode()
 
 
 def _encode_answer(answer: Dict[str, Any]) -> bytes:

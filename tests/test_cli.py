@@ -6,8 +6,10 @@ import shlex
 
 import pytest
 
+from repro import cli
 from repro.cli import EXIT_INVALID_MANIFEST, EXIT_REGRESSION, main
 from repro.delta import ActivitySwing, MutationPlan
+from repro.faults import SERVE_KINDS
 
 
 class TestCli:
@@ -424,3 +426,38 @@ class TestCheckpointFlags:
         assert main(["--scale", "small", "--crash-at", "nope",
                      "summary"]) == 2
         assert "not a stage" in capsys.readouterr().err
+
+
+class TestChaosFlag:
+    """``serve --chaos`` is parsed by ``FaultPlan.parse`` over the serve
+    kinds, before any world is built."""
+
+    @pytest.fixture
+    def no_world(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("a world was built before --chaos "
+                                 "was parsed")
+        monkeypatch.setattr(cli, "build_scenario", refuse)
+
+    @pytest.mark.parametrize("spec", ["bogus=1", "probe_loss=0.1",
+                                      "crash_at=users"])
+    def test_bad_spec_exits_2_before_building(self, no_world, spec,
+                                              capsys):
+        assert main(["serve", "--chaos", spec]) == 2
+        assert "bad --chaos spec" in capsys.readouterr().err
+
+    def test_bare_chaos_arms_the_serve_kinds(self, no_world, monkeypatch):
+        seen = {}
+
+        def run(args, argv):
+            seen["plan"] = args.chaos
+            return 0
+
+        monkeypatch.setattr(cli, "_run", run)
+        assert main(["serve", "--chaos"]) == 0
+        plan = seen["plan"]
+        assert plan.active_kinds() == SERVE_KINDS
+        assert all(plan.rate_of(kind) == 0.05 for kind in SERVE_KINDS)
+        assert plan.describe() == (
+            "slow_handler=0.05, artefact_corruption=0.05, "
+            "cache_eviction_storm=0.05, client_disconnect=0.05")

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.builder import MapBuilder
 from repro.core.serialize import map_to_json
 from repro.errors import ConfigError
-from repro.faults import (RATE_KINDS, FaultContext, FaultKind, FaultPlan,
-                          RetryPolicy)
+from repro.faults import (RATE_KINDS, SERVE_KINDS, FaultContext, FaultKind,
+                          FaultPlan, RetryPolicy)
 
 KINDS = sorted(RATE_KINDS, key=lambda k: k.value)
 
@@ -68,6 +68,14 @@ class TestPlan:
     def test_parse_rejects_bad_specs(self, spec):
         with pytest.raises(ConfigError):
             FaultPlan.parse(spec)
+
+    def test_parse_limited_to_given_kinds(self):
+        plan = FaultPlan.parse("all=0.1", kinds=SERVE_KINDS)
+        assert plan.active_kinds() == SERVE_KINDS
+        assert FaultPlan.parse("all=0.1").active_kinds() == RATE_KINDS
+        for spec in ("probe_loss=0.1", "crash_at=users", "crash=0.5"):
+            with pytest.raises(ConfigError, match="unknown fault kind"):
+                FaultPlan.parse(spec, kinds=SERVE_KINDS)
 
     def test_retry_policy_validation(self):
         with pytest.raises(ConfigError):

@@ -20,15 +20,17 @@ import urllib.request
 
 import pytest
 
+from repro import ScenarioConfig, build_scenario
 from repro.cli import EXIT_BAD_MAP, main
 from repro.core import usecases as uc
 from repro.core.mapstore import MapStore
 from repro.core.serialize import map_from_dict, map_to_dict, map_to_json
 from repro.errors import ValidationError
-from repro.obs import Recorder
+from repro.obs import AccessLog, LiveTelemetry, Recorder, load_access_log
 from repro.serve import (ArtefactWatcher, MapArtefactError, MapService,
-                         Query, QueryError, load_store, replay,
-                         replay_http, seeded_queries, serve_http)
+                         Query, QueryError, VirtualClock, load_store,
+                         replay, replay_http, run_chaos, seeded_queries,
+                         serve_http)
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +446,26 @@ class TestWatcher:
         with pytest.raises(MapArtefactError):
             load_store(str(bad), small_scenario)
 
+    def test_wrong_seed_artefact_refused(self, tmp_path, small_itm,
+                                         small_scenario):
+        """An artefact is served only over the world of the seed it
+        records: another seed's prefix table and AS graph would answer
+        cross-component queries wrongly under the same digest. A
+        watcher reload of such an artefact is a watch error."""
+        artefact = tmp_path / "map.json"
+        artefact.write_text(map_to_json(small_itm))
+        other = build_scenario(ScenarioConfig.small(seed=7))
+        with pytest.raises(MapArtefactError, match="seed"):
+            load_store(str(artefact), other)
+        recorder = Recorder()
+        service = MapService(load_store(str(artefact), small_scenario),
+                             recorder=recorder)
+        watcher = ArtefactWatcher(service, str(artefact), other,
+                                  interval=60)
+        watcher._signature = None
+        assert watcher.poll_once() is False
+        assert recorder.counters["serve.watch.errors"] == 1
+
 
 def watcher_poll(service, artefact, scenario) -> bool:
     """One watcher poll against a freshly-constructed watcher whose
@@ -673,6 +695,145 @@ class TestKeepAlive:
             conn.close()
 
 
+def _http(base, target):
+    """``(status, content type, body)`` of one GET, refusals included."""
+    try:
+        with urllib.request.urlopen(base + target, timeout=30) as response:
+            return (response.status, response.headers["Content-Type"],
+                    response.read())
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.headers["Content-Type"], exc.read()
+
+
+def _logged(store, path, drive, clock=None):
+    """Drive a fresh service with an access log at ``path`` attached;
+    returns the log's records."""
+    telemetry = LiveTelemetry(clock=clock, access_log=AccessLog(path))
+    try:
+        drive(MapService(store, telemetry=telemetry))
+    finally:
+        telemetry.access_log.close()
+    records, malformed = load_access_log(path)
+    assert malformed == 0
+    return records
+
+
+class TestObservationPoint:
+    """``MapService.handle`` is the one place a request is timed, given
+    an id and observed, whichever driver sends it, and it answers the
+    ungated, unobserved ``/v1/metricsz`` scrape itself."""
+
+    def test_metricsz_through_handle(self, store):
+        recorder = Recorder()
+        service = MapService(store, recorder=recorder,
+                             telemetry=LiveTelemetry(clock=VirtualClock()))
+        service.handle("/v1/map")
+        before = (service.telemetry.latency_snapshot(),
+                  service.telemetry.window_snapshot(),
+                  dict(recorder.counters))
+        text, as_json, xml = (service.handle(f"/v1/metricsz{query}")
+                              for query in ("", "?format=json",
+                                            "?format=xml"))
+        assert (text.status, text.content_type) == (
+            200, "text/plain; version=0.0.4; charset=utf-8")
+        assert b"repro_serve_latency_seconds_bucket" in text.body
+        assert (as_json.status, as_json.content_type) == (
+            200, "application/json")
+        assert json.loads(as_json.body) == service.metrics_snapshot()
+        assert (xml.status, xml.content_type) == (400, "application/json")
+        assert "unknown format" in json.loads(xml.body)["error"]
+        assert (service.telemetry.latency_snapshot(),
+                service.telemetry.window_snapshot(),
+                dict(recorder.counters)) == before
+        assert len({r.request_id for r in (text, as_json, xml)}) == 3
+
+    def test_metricsz_http_equals_handle(self, server):
+        """Status and content type only: the body moves with the
+        counters."""
+        base = f"http://127.0.0.1:{server.server_port}"
+        for target in ("/v1/metricsz", "/v1/metricsz?format=json",
+                       "/v1/metricsz?format=xml",
+                       "/v1/metricsz?format=json&format=text"):
+            status, content_type, __ = _http(base, target)
+            reply = server.service.handle(target)
+            assert (status, content_type) == (
+                reply.status, reply.content_type), target
+
+    def test_every_driver_logs_status_path_and_id(self, store, tmp_path):
+        """The same queries through HTTP, ``replay`` and ``run_chaos``
+        (no gate, no chaos) leave one access-log record per request,
+        each with its status, its request id and its real path."""
+        queries = seeded_queries(store, 40, seed=13)
+
+        def over_http(service):
+            httpd = serve_http(service, port=0)
+            thread = threading.Thread(target=httpd.serve_forever,
+                                      daemon=True)
+            thread.start()
+            try:
+                replay_http(f"http://127.0.0.1:{httpd.server_port}",
+                            queries)
+            finally:
+                httpd.shutdown()
+                httpd.server_close()
+                thread.join(timeout=10)
+
+        clock = VirtualClock()
+        logs = [_logged(store, tmp_path / "http.jsonl", over_http),
+                _logged(store, tmp_path / "replay.jsonl",
+                        lambda service: replay(service, queries)),
+                _logged(store, tmp_path / "chaos.jsonl",
+                        lambda service: run_chaos(service, queries, 100.0,
+                                                  seed=3, clock=clock),
+                        clock=clock)]
+        paths = [urllib.parse.urlsplit(q.url_path()).path for q in queries]
+        for records in logs:
+            assert [r["path"] for r in records] == paths
+            assert all(r["status"] is not None for r in records)
+            assert all(r["request_id"] is not None for r in records)
+            assert len({r["request_id"] for r in records}) == len(queries)
+        assert [r["status"] for r in logs[0]] == \
+            [r["status"] for r in logs[1]] == [r["status"] for r in logs[2]]
+
+    def test_bug_is_observed_once_and_propagates(self, store,
+                                                 monkeypatch):
+        """An exception that is not a refusal is observed once, as an
+        error, by ``handle``; it propagates to the in-process drivers
+        and HTTP answers it 500 with the request's id, which rides on
+        the exception."""
+        def broken(self, store, path, params):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(MapService, "_route", broken)
+        service = MapService(store)
+        with pytest.raises(RuntimeError, match="boom") as bug:
+            service.handle("/v1/map")
+        assert bug.value.request_id == "req-1"
+        with pytest.raises(RuntimeError, match="boom"):
+            replay(service, [Query("map", ())])
+        with pytest.raises(RuntimeError, match="boom"):
+            run_chaos(service, [Query("map", ())], 10.0)
+        httpd = serve_http(service, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{httpd.server_port}/v1/map",
+                headers={"X-Request-Id": "trace-500"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=10)
+        with excinfo.value as response:
+            assert response.code == 500
+            assert response.headers["X-Request-Id"] == "trace-500"
+        assert service.telemetry.latency_snapshot()["map"]["error"][
+            "count"] == 4
+
+
 class TestCli:
     def test_missing_artefact_exits_bad_map(self, tmp_path, capsys):
         code = main(["serve", "--map-json",
@@ -688,6 +849,16 @@ class TestCli:
         bad.write_text('{"format_version": 99}')
         assert main(["serve", "--map-json", str(bad)]) == EXIT_BAD_MAP
         assert "unsupported map format" in capsys.readouterr().err
+
+    def test_wrong_seed_artefact_exits_bad_map(self, tmp_path,
+                                               small_itm, capsys):
+        artefact = tmp_path / "map.json"
+        artefact.write_text(map_to_json(small_itm))
+        # A server that wrongly starts exits at once: no request awaited.
+        assert main(["--seed", "7", "serve", "--map-json", str(artefact),
+                     "--port", "0", "--max-requests", "0"]) == EXIT_BAD_MAP
+        err = capsys.readouterr().err
+        assert "seed" in err and "hint" in err
 
     def test_watch_requires_map_json(self, capsys):
         assert main(["serve", "--watch"]) == 2
