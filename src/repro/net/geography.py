@@ -24,12 +24,23 @@ EARTH_RADIUS_KM = 6371.0
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in kilometres between two WGS84 points."""
+    """Great-circle distance in kilometres between two WGS84 points.
+
+    Past a quarter circumference ``a`` nears 1 and ``asin(sqrt(a))`` loses
+    precision (near-antipodal points round to exactly half the
+    circumference), so there the distance is taken as the complement of
+    the distance to the antipode, ``hav(pi - theta)``, a sum of
+    non-negative terms with no cancellation.
+    """
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = math.radians(lat2 - lat1)
     dlmb = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+    cos_cos = math.cos(phi1) * math.cos(phi2)
+    a = math.sin(dphi / 2) ** 2 + cos_cos * math.sin(dlmb / 2) ** 2
+    if a <= 0.5:
+        return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+    b = math.sin((phi1 + phi2) / 2) ** 2 + cos_cos * math.cos(dlmb / 2) ** 2
+    return EARTH_RADIUS_KM * (math.pi - 2 * math.asin(math.sqrt(min(b, 1.0))))
 
 
 def haversine_km_matrix(lats1: np.ndarray, lons1: np.ndarray,
@@ -41,9 +52,13 @@ def haversine_km_matrix(lats1: np.ndarray, lons1: np.ndarray,
     dphi = phi2 - phi1
     dlmb = (np.radians(np.asarray(lons2, dtype=float))[None, :]
             - np.radians(np.asarray(lons1, dtype=float))[:, None])
-    a = (np.sin(dphi / 2) ** 2
-         + np.cos(phi1) * np.cos(phi2) * np.sin(dlmb / 2) ** 2)
-    return 2 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    cos_cos = np.cos(phi1) * np.cos(phi2)
+    a = np.sin(dphi / 2) ** 2 + cos_cos * np.sin(dlmb / 2) ** 2
+    # Same near-antipodal complement as haversine_km.
+    b = np.sin((phi1 + phi2) / 2) ** 2 + cos_cos * np.cos(dlmb / 2) ** 2
+    near = 2 * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    far = np.pi - 2 * np.arcsin(np.sqrt(np.clip(b, 0.0, 1.0)))
+    return EARTH_RADIUS_KM * np.where(a <= 0.5, near, far)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,20 @@ class TestHaversine:
         d = haversine_km(0, 0, 0, 180)
         assert d == pytest.approx(np.pi * 6371.0, rel=1e-3)
 
+    def test_near_antipodal_keeps_precision(self):
+        # 1e-9 rad short of the antipode: a plain asin(sqrt(a)) rounds this
+        # to exactly half the circumference, breaking the triangle
+        # inequality through a third point on the same meridian.
+        lat = -5.960464477539063e-08
+        d = haversine_km(0.0, 180.0, lat, 0.0)
+        assert d < np.pi * 6371.0
+        via = haversine_km(0.0, 180.0, -1.0, 0.0) + haversine_km(-1.0, 0.0,
+                                                                 lat, 0.0)
+        assert d <= via + 1e-9
+        matrix = haversine_km_matrix(np.array([0.0]), np.array([180.0]),
+                                     np.array([lat]), np.array([0.0]))
+        assert matrix[0, 0] == pytest.approx(d, abs=1e-9)
+
     @given(latitudes, longitudes, latitudes, longitudes)
     def test_property_symmetric_and_nonnegative(self, lat1, lon1, lat2, lon2):
         d1 = haversine_km(lat1, lon1, lat2, lon2)
