@@ -566,9 +566,9 @@ def _persist_observability(args: argparse.Namespace, builder: MapBuilder,
     ``--history`` registry — and the run exits :data:`EXIT_INVALID_MANIFEST`
     instead. ``manifest_stream`` is the real stdout captured before
     ``--metrics -`` redirected the command's own output to stderr.
-    ``serve_section`` is the serving-path counter section a drained
-    ``repro serve`` run attaches (format 4; format 5 once latency
-    histograms are recorded).
+    ``serve_section`` is the serving-path section a drained
+    ``repro serve`` run attaches (counters, plus latency histograms
+    once requests were recorded).
     """
     manifest = builder.manifest(command=args.command, scale=args.scale,
                                 serve=serve_section)

@@ -1021,7 +1021,7 @@ class MapBuilder:
         Callable any time after :meth:`build` (earlier snapshots are
         valid too — they just carry fewer stages). ``serve`` is the
         optional serving-path section a ``repro serve`` run assembles
-        after the server drains (format 4).
+        after the server drains.
         """
         return collect_manifest(
             self._recorder, self._scenario.config,

@@ -5,16 +5,13 @@ changing Internet (§5) — BGP links churn, activity swings diurnally,
 serving sites come and go. This package makes those changes first-class:
 
 * :mod:`repro.delta.mutations` — the :class:`WorldMutation` operations
-  (:class:`LinkChurn`, :class:`ActivitySwing`, :class:`SiteTurnover`)
-  and the JSON-serializable :class:`MutationPlan` composing them, every
-  one exactly invertible;
-* :mod:`repro.delta.world` — :func:`apply_mutation_plan`, which applies
-  the raw substrate edits to a built :class:`repro.scenario.Scenario`
-  and deterministically re-derives every affected public surface
-  (collector view, anycast catchments, ground-truth mapping, TLS store,
-  flows, routers, cache oracles) from the same named seed substreams
-  :func:`repro.scenario.build_scenario` used, so a mutated world is
-  bit-identical to one generated mutated;
+  (:class:`LinkChurn`, :class:`ActivitySwing`, :class:`SiteTurnover`),
+  the JSON-serializable :class:`MutationPlan` composing them, every one
+  exactly invertible, and :func:`apply_mutation_plan`, which applies the
+  raw substrate edits to a built :class:`repro.scenario.Scenario` and
+  re-derives every affected surface through
+  :func:`repro.scenario.derive_surfaces` — the code generation runs —
+  so a mutated world is bit-identical to one generated mutated;
 * :mod:`repro.delta.digests` — per-aspect substrate digests and the
   per-stage *input digests* a :class:`repro.core.builder.MapBuilder`
   with reuse on compares against checkpoint snapshots to decide which
@@ -30,8 +27,7 @@ from .digests import (ASPECTS, STAGE_INPUTS, SubstrateDigests,
                       stage_input_digest)
 from .mutations import (MUTATION_KINDS, ActivitySwing, LinkChurn,
                         MutationPlan, SiteTurnover, WorldMutation,
-                        mutation_from_dict)
-from .world import apply_mutation_plan
+                        apply_mutation_plan, mutation_from_dict)
 
 __all__ = [
     "ASPECTS",

@@ -2,7 +2,8 @@
 
 Dirty-stage selection needs to answer one question per builder stage:
 *did anything this stage reads change since the snapshot was written?*
-The substrate is carved into four **aspects** — independent surfaces a
+The substrate is carved into four **aspects**
+(:data:`repro.scenario.ASPECTS`) — independent surfaces a
 :class:`repro.delta.mutations.WorldMutation` can dirty:
 
 * ``routing`` — the actual AS graph's annotated link set (and with it
@@ -38,9 +39,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from ..errors import ValidationError
-
-#: The substrate aspects, in canonical order.
-ASPECTS = ("routing", "activity", "population", "serving")
+from ..scenario import ASPECTS
 
 #: stage -> (substrate aspects read, upstream stages read).
 #: Keys mirror repro.core.builder.PRIMARY_STAGES + AUX_STAGES.

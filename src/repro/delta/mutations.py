@@ -21,7 +21,9 @@ tests lean on:
 A :class:`MutationPlan` strings mutations into an ordered sequence with
 a canonical JSON encoding and a content digest; ``plan.inverse()``
 reverses the sequence with every step inverted. The JSON schema is
-documented in ``docs/delta.md``.
+documented in ``docs/delta.md``. :func:`apply_mutation_plan` applies a
+plan to a built scenario and re-derives the surfaces it dirtied through
+:func:`repro.scenario.derive_surfaces`, the same code generation runs.
 """
 
 from __future__ import annotations
@@ -33,11 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple, Type
 
 from ..errors import ValidationError
-
-#: Substrate aspects a mutation can touch (see repro.delta.digests).
-_ROUTING = "routing"
-_ACTIVITY = "activity"
-_SERVING = "serving"
+from ..scenario import ASPECTS, derive_surfaces
 
 
 class WorldMutation:
@@ -48,7 +46,7 @@ class WorldMutation:
     :meth:`validate`, :meth:`aspects`, :meth:`apply` and
     :meth:`inverse`. ``apply`` performs only the *raw* substrate edit;
     re-deriving the public surfaces that depend on it is
-    :func:`repro.delta.world.apply_mutation_plan`'s job.
+    :func:`apply_mutation_plan`'s job.
     """
 
     kind: str = ""
@@ -105,7 +103,7 @@ class LinkChurn(WorldMutation):
 
     def aspects(self) -> Tuple[str, ...]:
         """Link churn dirties routing only."""
-        return (_ROUTING,)
+        return ("routing",)
 
     def apply(self, scenario) -> None:
         """Edit the actual AS graph (epoch bumps automatically)."""
@@ -204,7 +202,7 @@ class ActivitySwing(WorldMutation):
 
     def aspects(self) -> Tuple[str, ...]:
         """Activity swings dirty the demand aspect only."""
-        return (_ACTIVITY,)
+        return ("activity",)
 
     def apply(self, scenario) -> None:
         """Scale the traffic-matrix columns of the chosen prefixes."""
@@ -249,7 +247,7 @@ class SiteTurnover(WorldMutation):
     ``site_id`` names the site in the *pristine* (as-generated)
     deployment — a stable handle that survives any retire/revive
     sequence. The active deployment is always re-filtered from the
-    pristine one (see :func:`repro.delta.world.filtered_deployment`),
+    pristine one (see :func:`repro.services.cdn.filtered_deployment`),
     so reviving restores the original site exactly. A hypergiant must
     keep at least one active site (anycast catchments and the
     ground-truth mapping need a non-empty site list).
@@ -274,18 +272,16 @@ class SiteTurnover(WorldMutation):
 
     def aspects(self) -> Tuple[str, ...]:
         """Site turnover dirties the serving aspect only."""
-        return (_SERVING,)
+        return ("serving",)
 
     def apply(self, scenario) -> None:
         """Flip the site's membership in the retired set.
 
-        The caller (:func:`repro.delta.world.apply_mutation_plan`) has
-        already stashed the pristine deployment; this only edits
-        ``scenario.retired_sites`` — the deployment itself is
-        re-filtered once, after the whole plan applied.
+        Only ``scenario.retired_sites`` changes; the active deployment
+        is re-filtered once, after the whole plan applied.
         """
-        pristine = scenario.pristine_deployment or scenario.deployment
-        sites = pristine.sites_by_hypergiant.get(self.hypergiant_key)
+        sites = scenario.pristine_deployment.sites_by_hypergiant.get(
+            self.hypergiant_key)
         if sites is None:
             raise ValidationError(
                 f"site-turnover references unknown hypergiant "
@@ -393,7 +389,6 @@ class MutationPlan:
     def aspects(self) -> Tuple[str, ...]:
         """Union of the aspects the steps dirty, in canonical order."""
         touched = {a for m in self.mutations for a in m.aspects()}
-        from .digests import ASPECTS
         return tuple(a for a in ASPECTS if a in touched)
 
     def kinds(self) -> Tuple[str, ...]:
@@ -464,3 +459,20 @@ class MutationPlan:
         with open(path, "w") as handle:
             handle.write(self.to_json())
             handle.write("\n")
+
+
+def apply_mutation_plan(scenario, plan: MutationPlan) -> Tuple[str, ...]:
+    """Mutate a built scenario in place; returns the dirtied aspects.
+
+    Applies every step in plan order (validating each against the
+    current substrate — a bad step raises :class:`ValidationError`
+    after earlier steps already applied, so validate plans against a
+    scratch scenario when atomicity matters), then re-derives the
+    surfaces the dirtied aspects feed. An empty plan is a no-op.
+    """
+    plan.validate()
+    for mutation in plan.mutations:
+        mutation.apply(scenario)
+    aspects = plan.aspects()
+    derive_surfaces(scenario, aspects)
+    return aspects

@@ -568,11 +568,11 @@ def _diff_serve_latency(before: Dict[str, object],
     if not old_rows and not new_rows:
         return
     if bool(old_rows) != bool(new_rows):
-        side = "new" if not old_rows else "old"
+        side, idle = ("new", "old") if not old_rows else ("old", "new")
         out.append(DiffFinding(
             "serve", "latency", STATUS_WARN, None, None,
             f"latency histograms recorded in the {side} run only "
-            "(format 4 vs format 5?)"))
+            f"(the {idle} run served no request)"))
         return
     for row in sorted(set(old_rows) & set(new_rows)):
         for quantile in ("p50_ms", "p99_ms"):

@@ -431,11 +431,15 @@ def aggregate_access_log(records: Iterable[Dict[str, object]])\
 class LiveTelemetry:
     """The service-side telemetry facade.
 
-    ``clock`` may be ``None`` (wall clock), a callable returning
-    seconds, or anything with a ``now()`` method — in particular a
+    ``clock`` may be ``None``, a callable returning seconds, or
+    anything with a ``now()`` method — in particular a
     :class:`~repro.serve.resilience.VirtualClock`, which is what keeps
     seeded chaos runs bit-identical with telemetry enabled: every
-    recorded duration is then pure simulated time.
+    recorded duration is then pure simulated time. An injected clock
+    drives durations, the rolling window and the access-log ``ts``
+    alike. Without one, durations and the window run on
+    :func:`time.monotonic` (a wall-clock step mid-request cannot skew a
+    latency) and the access-log ``ts`` stays in epoch seconds.
 
     All mutation happens under one lock; reads return deep snapshots so
     scrapes never race handler threads.
@@ -444,8 +448,11 @@ class LiveTelemetry:
     def __init__(self, clock: Optional[object] = None,
                  access_log: Optional[AccessLog] = None,
                  window_s: int = WINDOW_SECONDS) -> None:
+        # The access-log timestamp source; None: the injected clock.
+        self._wall: Optional[Callable[[], float]] = None
         if clock is None:
-            self._now: Callable[[], float] = time.time
+            self._now: Callable[[], float] = time.monotonic
+            self._wall = time.time
         elif hasattr(clock, "now"):
             self._now = clock.now
         elif callable(clock):
@@ -495,7 +502,8 @@ class LiveTelemetry:
         log = self.access_log
         if log is not None:
             log.emit({
-                "ts": round(now, 6),
+                "ts": round(now if self._wall is None else self._wall(),
+                            6),
                 "request_id": request_id,
                 "endpoint": endpoint,
                 "path": path if path is not None else f"/v1/{endpoint}",

@@ -94,15 +94,15 @@ class RunManifest:
     campaigns: Dict[str, CampaignRecord] = field(default_factory=dict)
     route_cache: Optional[Dict[str, float]] = None
     coverage: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    # Checkpoint lineage (format 2+, checkpointed runs only): where the
+    # Checkpoint lineage (checkpointed runs only): where the
     # run resumed from, which stages were reused vs recomputed, and any
     # snapshots that failed verification and were quarantined.
     checkpoint: Optional[Dict[str, object]] = None
-    # Delta lineage (format 3+, delta builds only): the mutation plan's
+    # Delta lineage (delta builds only): the mutation plan's
     # digest/kinds/aspects and the per-stage input digests that decided
     # which snapshots were reused (see repro.delta and docs/delta.md).
     delta: Optional[Dict[str, object]] = None
-    # Serving-path resilience counters (format 4, served runs only):
+    # Serving-path resilience counters (served runs only):
     # admission gate outcomes, HTTP-transport aborts, watcher circuit
     # transitions and chaos injections (see repro.serve.resilience and
     # docs/serving.md).

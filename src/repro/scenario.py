@@ -1,10 +1,13 @@
 """Scenario assembly: build the whole simulated Internet from one config.
 
-:func:`build_scenario` deterministically generates every substrate in
-dependency order and returns a :class:`Scenario` holding both the
-*privileged* ground truth (traffic matrix, actual topology, populations)
-and the *public* surfaces measurement code is allowed to touch (GDNS probe
-oracle, root-log archive, TLS store, collector view, PeeringDB registry).
+:func:`build_scenario` deterministically generates the *raw substrate*
+in dependency order (geography, catalog, topology, prefixes, population,
+the as-generated CDN deployment, traffic, GDNS, root servers), then
+:func:`derive_surfaces` builds every *derived surface* from it. The
+returned :class:`Scenario` holds both the *privileged* ground truth
+(traffic matrix, actual topology, populations) and the *public* surfaces
+measurement code is allowed to touch (GDNS probe oracle, root-log
+archive, TLS store, collector view, PeeringDB registry).
 
 Measurement modules must only consume the public surfaces; validation code
 (and only validation code) compares their output against ground truth.
@@ -13,7 +16,7 @@ Measurement modules must only consume the public surfaces; validation code
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .errors import ConfigError
 from .net.ases import ASRegistry
 from .net.collectors import PublicTopologyView, build_public_view
 from .net.geography import WorldAtlas
-from .net.prefixes import PrefixKind, PrefixTable
+from .net.prefixes import PrefixTable
 from .net.relationships import ASGraph
 from .net.routers import RouterPopulation, build_routers
 from .net.routing import BgpSimulator
@@ -33,7 +36,7 @@ from .population.users import PopulationModel, build_population
 from .rand import substream
 from .services.anycast import AnycastModel
 from .services.catalog import ServiceCatalog
-from .services.cdn import CdnDeployment, deploy_cdns
+from .services.cdn import CdnDeployment, deploy_cdns, filtered_deployment
 from .services.dnsinfra import (AuthoritativeDns, CacheOracle,
                                 GoogleDnsModel, RootLogArchive, RootSystem,
                                 TemporalCacheOracle)
@@ -43,10 +46,20 @@ from .services.tls import CertificateStore, issue_certificates
 from .traffic.flows import FlowAssignment, assign_flows
 from .traffic.matrix import TrafficMatrix, build_traffic_matrix
 
+#: The raw-substrate aspects a change can dirty, in canonical order
+#: (see :func:`derive_surfaces` and :mod:`repro.delta.digests`).
+ASPECTS = ("routing", "activity", "population", "serving")
+
 
 @dataclass
 class Scenario:
-    """A fully-built simulated Internet (ground truth + public surfaces)."""
+    """A fully-built simulated Internet (ground truth + public surfaces).
+
+    Init fields are the raw substrate: generated once by
+    :func:`build_scenario` and edited afterwards only by
+    :mod:`repro.delta` mutations. ``init=False`` fields are the derived
+    surfaces, set only by :func:`derive_surfaces`.
+    """
 
     config: ScenarioConfig
     atlas: WorldAtlas
@@ -56,26 +69,27 @@ class Scenario:
     population: PopulationModel
     apnic: ApnicDataset
     catalog: ServiceCatalog
-    deployment: CdnDeployment
-    certstore: CertificateStore
-    anycast_models: Dict[str, AnycastModel]
-    mapping: GroundTruthMapping
+    # The as-generated deployment; ``deployment`` below is the active
+    # one, filtered from it by the ``retired_sites`` handles.
+    pristine_deployment: CdnDeployment
     traffic: TrafficMatrix
-    flows: FlowAssignment
-    routers: RouterPopulation
     gdns: GoogleDnsModel
-    cache_oracle: CacheOracle
-    temporal_oracle: TemporalCacheOracle
-    authoritative: AuthoritativeDns
     roots: RootSystem
     root_archive: RootLogArchive
-    public_view: PublicTopologyView
     diurnal: DiurnalCurve
-    # Delta-build state (repro.delta): the as-generated deployment and
-    # the (hypergiant_key, pristine_site_id) pairs currently retired.
-    # ``deployment`` above is always the *active* (filtered) one.
-    pristine_deployment: Optional[CdnDeployment] = None
+    # (hypergiant_key, pristine_site_id) pairs currently retired.
     retired_sites: Set[Tuple[str, int]] = field(default_factory=set)
+
+    deployment: CdnDeployment = field(init=False)
+    certstore: CertificateStore = field(init=False)
+    anycast_models: Dict[str, AnycastModel] = field(init=False)
+    mapping: GroundTruthMapping = field(init=False)
+    authoritative: AuthoritativeDns = field(init=False)
+    flows: FlowAssignment = field(init=False)
+    routers: RouterPopulation = field(init=False)
+    cache_oracle: CacheOracle = field(init=False)
+    temporal_oracle: TemporalCacheOracle = field(init=False)
+    public_view: PublicTopologyView = field(init=False)
 
     # -- convenience accessors ------------------------------------------------
 
@@ -141,46 +155,9 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
 
     bgp = BgpSimulator(topo.graph,
                        max_cache_entries=config.route_cache_entries)
-    anycast_models: Dict[str, AnycastModel] = {}
-    for key, spec in catalog.hypergiants.items():
-        if spec.uses_anycast:
-            anycast_models[key] = AnycastModel(
-                hypergiant_key=key,
-                hg_asn=topo.hypergiant_asns[spec.display_name],
-                sites=deployment.sites(key),
-                graph=topo.graph, registry=topo.registry,
-                peeringdb=topo.peeringdb, bgp=bgp)
-
-    mapping = GroundTruthMapping(
-        prefix_table=prefix_table, registry=topo.registry,
-        deployment=deployment, catalog=catalog,
-        anycast_models=anycast_models,
-        users_per_prefix=population.users_per_prefix,
-        rng=substream(seed, "mapping"))
-
-    certstore = issue_certificates(catalog, deployment, prefix_table,
-                                   substream(seed, "tls"))
-    flows = assign_flows(traffic, mapping, deployment, bgp)
-    diurnal = DiurnalCurve()
-    routers = build_routers(topo.registry, flows.volume_by_as, diurnal,
-                            substream(seed, "routers"))
 
     gdns = GoogleDnsModel(config.dns, atlas, topo.registry, prefix_table,
                           substream(seed, "gdns"))
-    # Query rate reaching GDNS caches = client resolutions * GDNS share.
-    gdns_rate = traffic.queries_per_day * gdns.gdns_share[None, :]
-    ttls = [s.dns_ttl for s in catalog.services]
-    probe_sids = [s.sid for s in catalog.top_by_popularity(
-        config.measurement.probe_top_k_domains)]
-    cache_oracle = CacheOracle.calibrated(
-        gdns_rate, ttls, probe_sids, population.prefixes_with_users())
-    city_offsets = np.array([c.utc_offset for c in prefix_table.cities])
-    temporal_oracle = TemporalCacheOracle.from_oracle(
-        cache_oracle,
-        utc_offsets=city_offsets[prefix_table.city_index_array],
-        curve=diurnal)
-
-    authoritative = AuthoritativeDns(catalog, mapping)
     roots = RootSystem(config.dns, topo.registry, substream(seed, "roots"))
     gdns_operator = topo.hypergiant_asns[
         catalog.hypergiants[PUBLIC_DNS_OPERATOR_KEY].display_name]
@@ -191,16 +168,109 @@ def build_scenario(config: Optional[ScenarioConfig] = None) -> Scenario:
         gdns_operator_asn=gdns_operator,
         config=config.dns, rng=substream(seed, "rootlogs"))
 
-    public_view = build_public_view(topo.graph, topo.registry,
-                                    substream(seed, "collectors"))
-
-    return Scenario(
+    scenario = Scenario(
         config=config, atlas=atlas, topology=topo, bgp=bgp,
         prefixes=prefix_table, population=population, apnic=apnic,
-        catalog=catalog, deployment=deployment, certstore=certstore,
-        anycast_models=anycast_models, mapping=mapping, traffic=traffic,
-        flows=flows, routers=routers, gdns=gdns,
-        cache_oracle=cache_oracle, temporal_oracle=temporal_oracle,
-        authoritative=authoritative,
-        roots=roots, root_archive=root_archive, public_view=public_view,
-        diurnal=diurnal)
+        catalog=catalog, pristine_deployment=deployment, traffic=traffic,
+        gdns=gdns, roots=roots, root_archive=root_archive,
+        diurnal=DiurnalCurve())
+    derive_surfaces(scenario, ASPECTS)
+    return scenario
+
+
+def derive_surfaces(scenario: Scenario, aspects: Iterable[str]) -> None:
+    """(Re)build the derived surfaces fed by the dirtied ``aspects``.
+
+    The only place the derived surfaces are built: generation calls it
+    with every aspect, :func:`repro.delta.apply_mutation_plan` with the
+    aspects its plan dirtied. Each surface draws from its own named
+    seed substream, so a world mutated after generation is bit-identical
+    to one generated with the mutated substrate.
+
+    Aspect -> surfaces rebuilt:
+
+    * ``routing`` — anycast catchment models, ground-truth mapping
+      (+ authoritative DNS), flows, routers, collector public view;
+    * ``activity`` — flows, routers, GDNS cache oracle (+ temporal
+      oracle);
+    * ``population`` — ground-truth mapping (+ authoritative DNS),
+      flows, routers, cache oracles;
+    * ``serving`` — active deployment (filtered from the pristine one),
+      anycast models, mapping (+ authoritative DNS), TLS certificate
+      store, flows, routers.
+
+    The order is generation's and matters: the mapping is rebuilt
+    *before* the flow assignment, whose per-service assignment calls are
+    the mapping RNG's first consumers, and the BGP route cache sees the
+    anycast models' lookups before the flows'. An empty ``aspects``
+    rebuilds nothing.
+    """
+    dirty = frozenset(aspects)
+    if not dirty:
+        return
+    routing = "routing" in dirty
+    activity = "activity" in dirty
+    population = "population" in dirty
+    serving = "serving" in dirty
+    seed = scenario.config.seed
+    topo = scenario.topology
+    catalog = scenario.catalog
+    prefixes = scenario.prefixes
+
+    if serving:
+        scenario.deployment = filtered_deployment(
+            scenario.pristine_deployment, scenario.retired_sites)
+    deployment = scenario.deployment
+    if routing or serving:
+        scenario.anycast_models = {
+            key: AnycastModel(
+                hypergiant_key=key,
+                hg_asn=topo.hypergiant_asns[spec.display_name],
+                sites=deployment.sites(key),
+                graph=topo.graph, registry=topo.registry,
+                peeringdb=topo.peeringdb, bgp=scenario.bgp)
+            for key, spec in catalog.hypergiants.items()
+            if spec.uses_anycast}
+    if routing or serving or population:
+        scenario.mapping = GroundTruthMapping(
+            prefix_table=prefixes, registry=topo.registry,
+            deployment=deployment, catalog=catalog,
+            anycast_models=scenario.anycast_models,
+            users_per_prefix=scenario.population.users_per_prefix,
+            rng=substream(seed, "mapping"))
+        scenario.authoritative = AuthoritativeDns(catalog,
+                                                  scenario.mapping)
+    if serving:
+        scenario.certstore = issue_certificates(
+            catalog, deployment, prefixes, substream(seed, "tls"))
+
+    # Flows fold traffic x mapping x deployment over BGP routes, and the
+    # router population scales with per-AS flow volume — every aspect
+    # reaches them.
+    scenario.flows = assign_flows(scenario.traffic, scenario.mapping,
+                                  deployment, scenario.bgp)
+    scenario.routers = build_routers(topo.registry,
+                                     scenario.flows.volume_by_as,
+                                     scenario.diurnal,
+                                     substream(seed, "routers"))
+
+    if activity or population:
+        # Query rate reaching GDNS caches = client resolutions * GDNS
+        # share.
+        gdns_rate = (scenario.traffic.queries_per_day
+                     * scenario.gdns.gdns_share[None, :])
+        ttls = [s.dns_ttl for s in catalog.services]
+        probe_sids = [s.sid for s in catalog.top_by_popularity(
+            scenario.config.measurement.probe_top_k_domains)]
+        scenario.cache_oracle = CacheOracle.calibrated(
+            gdns_rate, ttls, probe_sids,
+            scenario.population.prefixes_with_users())
+        city_offsets = np.array([c.utc_offset for c in prefixes.cities])
+        scenario.temporal_oracle = TemporalCacheOracle.from_oracle(
+            scenario.cache_oracle,
+            utc_offsets=city_offsets[prefixes.city_index_array],
+            curve=scenario.diurnal)
+
+    if routing:
+        scenario.public_view = build_public_view(
+            topo.graph, topo.registry, substream(seed, "collectors"))

@@ -10,7 +10,7 @@ treatment the build path got from :mod:`repro.faults` (PR 2):
   carries a :class:`Deadline` budget and is abandoned at the next
   cancellation checkpoint once the budget expires (HTTP 504). Everything
   is surfaced as ``serve.admit.{offered,admitted,shed,deadline_expired}``
-  counters in the run manifest (format 4).
+  counters in the run manifest.
 * :class:`CircuitBreaker` — consecutive-failure trip wire with
   exponential backoff, used by the artefact watcher so a broken rewrite
   loop polls gently instead of at full rate
@@ -378,16 +378,15 @@ class CircuitBreaker:
 
 def serve_manifest_section(recorder: Recorder,
                            telemetry=None) -> Optional[Dict[str, Any]]:
-    """The manifest's ``serve`` section (format ≥ 4) from a recorder.
+    """The manifest's ``serve`` section from a recorder.
 
     Collects the serving-path counters into the nested shape
     ``{admit: {...}, http: {...}, watch: {...}, chaos: {...}}`` that
     :func:`repro.obs.manifest.validate_manifest` checks. With a
     :class:`repro.obs.live.LiveTelemetry` attached, its histogram
-    summaries land in a ``latency`` subsection (format 5). Returns
-    ``None`` when the recorder saw no admission gate at all (e.g. a
-    plain build) *and* no telemetry samples were recorded, so old-style
-    manifests stay byte-identical.
+    summaries land in a ``latency`` subsection. Returns ``None`` when
+    the recorder saw no admission gate at all (e.g. a plain build)
+    *and* no telemetry samples were recorded.
     """
     if recorder is NULL_RECORDER or not recorder.enabled:
         return None

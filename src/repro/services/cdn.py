@@ -20,8 +20,8 @@ then binds to owner organisations — the raw material of the §3.2.2 scans.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -89,6 +89,37 @@ class CdnDeployment:
 
     def offnet_host_count(self, hypergiant_key: str) -> int:
         return sum(1 for s in self.sites(hypergiant_key) if s.is_offnet)
+
+
+def filtered_deployment(pristine: CdnDeployment,
+                        retired: Set[Tuple[str, int]]) -> CdnDeployment:
+    """The active deployment: pristine sites minus the retired set.
+
+    ``retired`` holds ``(hypergiant_key, pristine_site_id)`` handles.
+    Site ids are renumbered to list positions (mapping assignments and
+    catchment answers index per-hypergiant site lists by ``site_id``),
+    preserving the pristine order so the filtering is deterministic and
+    exactly reversible. With nothing retired the pristine deployment
+    itself is returned.
+    """
+    if not retired:
+        return pristine
+    active = CdnDeployment()
+    active.stub_hosting = dict(pristine.stub_hosting)
+    for key, sites in pristine.sites_by_hypergiant.items():
+        kept = []
+        for site in sites:
+            if (key, site.site_id) in retired:
+                continue
+            renumbered = replace(site, site_id=len(kept))
+            kept.append(renumbered)
+            for pid in renumbered.prefix_ids:
+                active.site_of_prefix[pid] = (key, renumbered)
+            if renumbered.kind is SiteKind.OFFNET:
+                active.offnet_index.setdefault(
+                    renumbered.host_asn, {})[key] = renumbered
+        active.sites_by_hypergiant[key] = kept
+    return active
 
 
 def _offnet_probability(reach: OffnetReach, size_quantile: float,

@@ -1,11 +1,27 @@
 """Tests for scenario assembly: determinism, wiring, and the public/
 privileged separation."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import ScenarioConfig, build_scenario
+from repro.core.builder import MapBuilder
+from repro.core.serialize import map_to_json
 from repro.errors import ConfigError
+from repro.scenario import ASPECTS, Scenario, derive_surfaces
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: Every constructor of a derived surface.
+SURFACE_CONSTRUCTORS = (
+    "AnycastModel(", "GroundTruthMapping(", "AuthoritativeDns(",
+    "issue_certificates(", "assign_flows(", "build_routers(",
+    "CacheOracle.calibrated(", "TemporalCacheOracle.from_oracle(",
+    "build_public_view(")
 
 
 class TestDeterminism:
@@ -80,3 +96,43 @@ class TestWiring:
         config = ScenarioConfig.default()
         config.validate()
         assert config.country_codes is None
+
+
+class TestDeriveSurfaces:
+    def test_rederiving_every_aspect_keeps_the_map(self, small_config,
+                                                   small_itm):
+        scenario = build_scenario(small_config)
+        before = scenario.mapping
+        derive_surfaces(scenario, ASPECTS)
+        assert scenario.mapping is not before
+        assert map_to_json(MapBuilder(scenario).build()) == \
+            map_to_json(small_itm)
+
+    def test_derives_exactly_the_init_false_fields(self, small_config):
+        generated = build_scenario(small_config)
+        raw = {f.name: getattr(generated, f.name)
+               for f in fields(Scenario) if f.init}
+        derived = {f.name for f in fields(Scenario) if not f.init}
+        assert derived
+        bare = Scenario(**raw)
+        assert not derived & set(vars(bare))
+        derive_surfaces(bare, ASPECTS)
+        assert set(vars(bare)) == set(raw) | derived
+
+    def test_constructors_called_only_in_derive_surfaces(self):
+        body = (SRC / "scenario.py").read_text().split(
+            "def derive_surfaces(", 1)[1]
+        for name in SURFACE_CONSTRUCTORS:
+            call = re.compile(rf"(?<![\w.]){re.escape(name)}")
+            sites = [path.relative_to(SRC).as_posix()
+                     for path in sorted(SRC.rglob("*.py"))
+                     for line in path.read_text().splitlines()
+                     if call.search(line)
+                     and not line.lstrip().startswith("def ")]
+            assert sites == ["scenario.py"], (name, sites)
+            assert len(call.findall(body)) == 1, name
+
+    def test_no_aspect_rebuilds_nothing(self, small_scenario):
+        mapping = small_scenario.mapping
+        derive_surfaces(small_scenario, ())
+        assert small_scenario.mapping is mapping

@@ -11,8 +11,10 @@ block, and the ``repro obs`` CLI.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -173,6 +175,24 @@ class TestRequestIds:
         assert records[0]["digest"] == service.digest
 
 
+
+class TestRequestClock:
+    def test_wall_clock_step_does_not_skew_latency(self, store,
+                                                   monkeypatch):
+        """Request latency is measured on a monotonic clock: a wall
+        clock stepping back 5 s between a request's two reads must not
+        record it as zero (nor a forward step as +5 s)."""
+        real_time = time.time
+        reads = itertools.count()
+        monkeypatch.setattr(
+            time, "time", lambda: real_time() - 5.0 * next(reads))
+        telemetry = LiveTelemetry()
+        reply = MapService(store, telemetry=telemetry).handle("/v1/map")
+        assert reply.status == 200
+        hist = telemetry.histograms()[("map", "ok")]
+        assert hist.count == 1
+        assert 0.0 < hist.max < 5.0
+
 def _chaos_setup(store, chaos_seed: int = 11):
     """A gated, chaos-armed service with virtual-clock telemetry."""
     clock = VirtualClock()
@@ -231,8 +251,7 @@ class TestServeManifestSection:
                                          telemetry=service.telemetry)
         assert section["latency"]["unit"] == "ms"
         assert section["latency"] == service.telemetry.manifest_section()
-        # Positional compatibility: without telemetry the section keeps
-        # its format-4 shape.
+        # Without telemetry the section carries no latency histograms.
         assert "latency" not in serve_manifest_section(recorder)
 
     def test_telemetry_alone_creates_section(self, store):
@@ -372,7 +391,7 @@ class TestServeDiff:
         finding = [f for f in _serve_findings(diff)
                    if f.metric == "latency"][0]
         assert finding.status == STATUS_WARN
-        assert "format 4 vs format 5" in finding.detail
+        assert "the old run served no request" in finding.detail
 
     def test_circuit_open_regresses_and_chaos_drift_warns(self):
         old = _manifest_with(_serve_payload())
