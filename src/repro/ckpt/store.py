@@ -1,28 +1,37 @@
 """Content-addressed stage snapshots with atomic writes and quarantine.
 
 A :class:`CheckpointStore` owns one ``--checkpoint-dir``. Each builder
-stage saves its output as a JSON snapshot whose *body* (payload +
-fault-scope states + builder notes) is digested with SHA-256; the digest
-rides in the envelope and — truncated — in the filename, so a snapshot
-is content-addressed and self-verifying. Writes are atomic (temp file in
+stage saves its output as a snapshot whose *body* (payload + fault-scope
+states + builder notes) is compact JSON, except that every numeric
+ndarray in it is stored as raw little-endian bytes in one *blob* after
+the JSON and referenced from the body as ``{dtype, shape, offset}``.
+Body and blob are digested together with SHA-256; the digest rides in
+the envelope and — truncated — in the filename, so a snapshot is
+content-addressed and self-verifying. Writes are atomic (temp file in
 the same directory, then ``os.replace``) so a crash mid-save can never
 leave a half-written snapshot where a resume would trust it.
 
-On load the store verifies, in order: the file parses, the envelope
-schema version and stage name match, the config / fault-plan / options
-digests match the current build, and the body digest equals the
-recorded one. The body rides as the envelope's last member, stored as
-the exact bytes the digest covers — so the cheap meta checks (and the
-input-digest staleness check) run off a few hundred bytes of prefix,
-and integrity is one hash over the raw body slice, never a
-multi-megabyte re-encode. Any verification failure *quarantines* the
-snapshot (moves it to ``quarantine/`` and records the reason in the
-lineage) and reports a miss, so the builder recomputes the stage
-instead of trusting bad data — a wrong map is strictly worse than a
-slow one. A snapshot whose recorded input digest differs from the
-stage's current one is *stale*: it describes another world, not a
-damaged file, so it is left in place (the recompute overwrites it)
-and reported as a miss.
+Envelope version 3 is laid out as::
+
+    {<meta>,"body":<body_bytes of JSON body>}\n<array blob>
+
+On load the store verifies, in order: the meta prefix parses, the
+envelope schema version and stage name match, the config / fault-plan /
+options digests match the current build, and the digest of body and
+blob equals the recorded one. The cheap meta checks (and the
+input-digest staleness check) read a few hundred bytes; integrity is
+one hash over the bytes as stored, never a re-encode. The body is then
+parsed, each array reference becoming a writable ndarray over the blob;
+only numeric dtypes inside the blob are accepted, and nothing is ever
+unpickled. Any verification failure *quarantines* the snapshot (moves
+it to ``quarantine/`` and records the reason in the lineage) and
+reports a miss, so the builder recomputes the stage instead of trusting
+bad data — a wrong map is strictly worse than a slow one. A version-2
+snapshot (JSON only, before the blob) is quarantined the same way and
+recomputed once. A snapshot whose recorded input digest differs from
+the stage's current one is *stale*: it describes another world, not a
+damaged file, so it is left in place (the recompute overwrites it) and
+reported as a miss.
 
 Layout under the checkpoint dir::
 
@@ -40,55 +49,96 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import ReproError
 from ..obs.recorder import NULL_RECORDER, Recorder
 
-try:  # Optional accelerator for the multi-megabyte snapshot bodies.
-    # Safe because a load hashes the body bytes as stored, never a
-    # re-encode: the digest verified is the one save computed over the
-    # exact bytes it wrote, whichever encoder wrote them.
-    import orjson as _orjson
-
-    def _json_loads(data):
-        return _orjson.loads(data)
-
-    def _body_encode(body) -> bytes:
-        # OPT_NON_STR_KEYS mirrors json.dumps coercing int keys to str;
-        # OPT_SERIALIZE_NUMPY covers the numpy scalars stage payloads
-        # carry (stdlib json takes them as float/int subclasses).
-        return _orjson.dumps(
-            body,
-            option=_orjson.OPT_NON_STR_KEYS | _orjson.OPT_SERIALIZE_NUMPY)
-except ImportError:  # pragma: no cover - depends on the environment
-    _json_loads = json.loads
-
-    def _body_encode(body) -> bytes:
-        return json.dumps(body, separators=(",", ":")).encode()
-
 #: Snapshot envelope schema version; bump on incompatible layout change.
-CKPT_FORMAT_VERSION = 2
+CKPT_FORMAT_VERSION = 3
 
 #: Hex digits of the body digest carried in the snapshot filename.
 _NAME_DIGEST_LEN = 12
 
 #: Byte sequence introducing the body member in a snapshot written by
-#: :meth:`CheckpointStore.save`. The body is always the envelope's last
-#: member and is stored as the exact bytes its digest covers, so a load
-#: can (a) parse just the meta prefix to reject a mismatched or stale
-#: snapshot without decoding megabytes of payload, and (b) verify
-#: integrity by hashing the raw slice instead of re-encoding the parsed
-#: body. A file not laid out this way was not written by ``save`` and
-#: is quarantined, never parsed some other way.
+#: :meth:`CheckpointStore.save`. The JSON body is always the envelope's
+#: last member, ``body_bytes`` long (the meta records it), followed by
+#: :data:`_JSON_END` and the array blob. So a load can (a) parse just
+#: the meta prefix to reject a mismatched or stale snapshot without
+#: reading megabytes of payload, and (b) verify integrity by hashing
+#: the body and blob as stored instead of re-encoding anything. A file
+#: not laid out this way was not written by ``save`` and is
+#: quarantined, never parsed some other way.
 _BODY_MARKER = b',"body":'
+
+#: Closes the JSON envelope; the raw array blob follows it.
+_JSON_END = b"}\n"
+
+#: Upper bound on the meta prefix (a few hundred bytes in practice).
+_META_MAX = 1 << 16
 
 #: The members of every body :meth:`CheckpointStore.save` writes.
 _BODY_KEYS = {"payload", "scopes", "notes"}
+
+#: The object that stands in for an ndarray in the JSON body.
+_ARRAY_REF_KEYS = {"dtype", "shape", "offset"}
+
+#: Array dtype kinds a snapshot holds: bool, signed, unsigned, float.
+_ARRAY_KINDS = "biuf"
+
+#: Blob offsets are multiples of this, so decoded arrays are aligned.
+_ALIGN = 8
+
+
+def _encode_body(body: object) -> Tuple[bytes, List[object]]:
+    """``body`` as compact JSON, plus the blob chunks of its arrays.
+
+    ``json.dumps`` hands each ndarray to ``default``, which appends its
+    little-endian bytes (zero-padded to :data:`_ALIGN`) to the blob and
+    writes a ``{dtype, shape, offset}`` reference in its place.
+    """
+    chunks: List[object] = []
+    size = 0
+
+    def array_ref(value):
+        nonlocal size
+        if type(value) is not np.ndarray \
+                or value.dtype.kind not in _ARRAY_KINDS:
+            raise TypeError(f"cannot snapshot {value!r:.60}")
+        array = value.astype(value.dtype.newbyteorder("<"), order="C",
+                             copy=False)
+        ref = {"dtype": array.dtype.str, "shape": list(array.shape),
+               "offset": size}
+        chunks.append(array.reshape(-1).view(np.uint8))
+        pad = -array.nbytes % _ALIGN
+        chunks.append(bytes(pad))
+        size += array.nbytes + pad
+        return ref
+
+    # Compact and order-preserving: dict insertion order is meaningful
+    # (see repro.core.serialize), so the body is NOT key-sorted.
+    text = json.dumps(body, separators=(",", ":"), default=array_ref)
+    return text.encode(), chunks
+
+
+def _array_at(blob: bytearray, ref: Dict[str, object]) -> np.ndarray:
+    """The array an ``{dtype, shape, offset}`` reference names: a
+    writable view of blob bytes, of a numeric dtype only (never
+    ``object``). ``np.frombuffer`` refuses offsets and sizes past the
+    blob end."""
+    dtype, shape = np.dtype(ref["dtype"]), ref["shape"]
+    if dtype.kind not in _ARRAY_KINDS or type(shape) is not list \
+            or any(type(n) is not int or n < 0 for n in shape):
+        raise ValueError(f"not a numeric array reference: {ref!r}")
+    return np.frombuffer(blob, dtype=dtype, count=math.prod(shape),
+                         offset=ref["offset"]).reshape(shape)
 
 
 class CheckpointError(ReproError):
@@ -99,8 +149,10 @@ class CheckpointError(ReproError):
 class LoadedSnapshot:
     """A verified snapshot, ready for the builder to apply.
 
-    ``payload`` is still in its serialized (plain-JSON) form — the
-    builder decodes it with :func:`repro.core.serialize.
+    ``payload`` is the body's JSON with every array reference already
+    resolved to a writable ndarray over the blob — the form
+    :func:`repro.core.serialize.stage_payload_to_dict` wrote, which the
+    builder decodes with :func:`repro.core.serialize.
     stage_payload_from_dict`; ``scopes`` / ``notes`` are the absolute
     post-stage fault-scope states and note lists the stage recorded.
     """
@@ -109,9 +161,11 @@ class LoadedSnapshot:
     payload: object
     scopes: Dict[str, Dict]
     notes: Dict[str, List[str]]
-    #: The snapshot body's SHA-256 — downstream stages chain it into
-    #: their own input digests (delta builds).
+    #: The SHA-256 of the snapshot's body and blob — downstream stages
+    #: chain it into their own input digests (delta builds).
     digest: str = ""
+    #: The file it was read from (quarantined if it fails to decode).
+    path: Optional[Path] = None
 
 
 @dataclass
@@ -185,13 +239,12 @@ class CheckpointStore:
         """
         rec = self._recorder
         with rec.span("ckpt.save"):
-            # Compact, order-preserving: dict insertion order is
-            # meaningful (see repro.core.serialize) so the body is NOT
-            # key-sorted. The digest covers the exact order a resume
-            # will see.
-            body_bytes = _body_encode(
+            body_bytes, chunks = _encode_body(
                 {"payload": payload, "scopes": scopes, "notes": notes})
-            digest = hashlib.sha256(body_bytes).hexdigest()
+            hasher = hashlib.sha256(body_bytes)
+            for chunk in chunks:
+                hasher.update(chunk)
+            digest = hasher.hexdigest()
             self.last_saved_digest = digest
             meta = {
                 "format_version": CKPT_FORMAT_VERSION,
@@ -201,26 +254,26 @@ class CheckpointStore:
                 "options_digest": self.options_digest,
                 "payload_sha256": digest,
                 "input_digest": input_digest,
+                "body_bytes": len(body_bytes),
                 "created_unix": time.time(),
             }
             final = self.snapshot_dir / (
                 f"{stage}.{digest[:_NAME_DIGEST_LEN]}.json")
             tmp = self.snapshot_dir / f".{final.name}.tmp"
             try:
-                # Snapshots are megabytes; the body is encoded exactly
-                # once (the same bytes the digest covers) and spliced
-                # into the envelope as its *last* member, so a load can
-                # verify and stale-check the small meta prefix without
-                # decoding the body at all. Compact on purpose — the
-                # pretty-printed incremental dump this replaces cost
-                # ~20x the wall time and a third more disk.
+                # The body is encoded exactly once (the bytes the digest
+                # covers) and spliced into the envelope as its *last*
+                # member, so a load can verify and stale-check the small
+                # meta prefix without reading the body at all.
                 meta_bytes = json.dumps(
                     meta, separators=(",", ":")).encode()
                 with open(tmp, "wb") as handle:
                     handle.write(meta_bytes[:-1])
                     handle.write(_BODY_MARKER)
                     handle.write(body_bytes)
-                    handle.write(b"}\n")
+                    handle.write(_JSON_END)
+                    for chunk in chunks:
+                        handle.write(chunk)
                     handle.flush()
                     os.fsync(handle.fileno())
                 os.replace(tmp, final)
@@ -256,15 +309,15 @@ class CheckpointStore:
         # Newest (and normally only) candidate last; older leftovers are
         # quarantined rather than silently ignored.
         for path in paths[:-1]:
-            self._quarantine(path, stage, "superseded duplicate snapshot",
-                             lineage)
+            self.quarantine(path, stage, "superseded duplicate snapshot",
+                            lineage)
         path = paths[-1]
         with rec.span("ckpt.verify"):
             rec.count("ckpt.verifies")
             reason, stale, body = self._read_verified(
                 path, stage, input_digest)
         if reason is not None:
-            self._quarantine(path, stage, reason, lineage)
+            self.quarantine(path, stage, reason, lineage)
             rec.count("ckpt.misses")
             return None
         if stale:
@@ -279,7 +332,8 @@ class CheckpointStore:
                 payload=body_obj["payload"],
                 scopes=body_obj["scopes"],
                 notes=body_obj["notes"],
-                digest=digest)
+                digest=digest,
+                path=path)
 
     def _read_verified(self, path: Path, stage: str, input_digest: str):
         """Read + verify one snapshot file.
@@ -290,36 +344,57 @@ class CheckpointStore:
         the verified body. Only the layout :meth:`save` writes is read:
         the meta prefix (everything before ``_BODY_MARKER``) is parsed
         alone, so compatibility and staleness are decided before the
-        megabytes of body are ever decoded, and integrity is a hash of
-        the raw body slice — the exact bytes :meth:`save` digested.
+        megabytes of body and blob are ever read, and integrity is a
+        hash of the body and blob as stored — the exact bytes
+        :meth:`save` digested.
         """
+        layout = "not the layout save writes (re-dumped or hand-edited)"
         try:
-            raw = path.read_bytes()
+            with open(path, "rb") as handle:
+                head = handle.read(_META_MAX)
+                marker = head.find(_BODY_MARKER)
+                if marker == -1:
+                    return layout, False, None
+                try:
+                    meta = json.loads(head[:marker] + b"}")
+                except ValueError as exc:
+                    return f"unreadable snapshot: {exc}", False, None
+                reason = self._verify_meta(stage, meta)
+                if reason is not None:
+                    return reason, False, None
+                if meta.get("input_digest") != input_digest:
+                    return None, True, None
+                size = meta.get("body_bytes")
+                if type(size) is not int or size < 0:
+                    return layout, False, None
+                handle.seek(marker + len(_BODY_MARKER))
+                body_bytes = handle.read(size)
+                if len(body_bytes) != size \
+                        or handle.read(len(_JSON_END)) != _JSON_END:
+                    return layout, False, None
+                # A fresh bytearray: aligned, and the arrays decoded
+                # from it are writable views rather than copies.
+                blob = bytearray(
+                    os.fstat(handle.fileno()).st_size - handle.tell())
+                if handle.readinto(blob) != len(blob):
+                    return "snapshot changed while read", False, None
         except OSError as exc:
             return f"unreadable snapshot: {exc}", False, None
-
-        marker = raw.find(_BODY_MARKER)
-        trimmed = raw.rstrip()
-        if marker == -1 or not trimmed.endswith(b"}"):
-            return ("not the layout save writes (re-dumped or "
-                    "hand-edited)", False, None)
-        try:
-            meta = _json_loads(raw[:marker] + b"}")
-        except ValueError as exc:
-            return f"unreadable snapshot: {exc}", False, None
-        reason = self._verify_meta(stage, meta)
-        if reason is not None:
-            return reason, False, None
-        if meta.get("input_digest") != input_digest:
-            return None, True, None
-        body_bytes = trimmed[marker + len(_BODY_MARKER):-1]
-        digest = hashlib.sha256(body_bytes).hexdigest()
+        hasher = hashlib.sha256(body_bytes)
+        hasher.update(blob)
+        digest = hasher.hexdigest()
         if digest != meta.get("payload_sha256"):
             return ("payload digest mismatch (corrupt snapshot)",
                     False, None)
+
+        def resolve_arrays(obj):
+            if obj.keys() == _ARRAY_REF_KEYS:
+                return _array_at(blob, obj)
+            return obj
+
         try:
-            body = _json_loads(body_bytes)
-        except ValueError as exc:
+            body = json.loads(body_bytes, object_hook=resolve_arrays)
+        except (ValueError, TypeError, RecursionError) as exc:
             return f"unreadable snapshot body: {exc}", False, None
         if not isinstance(body, dict) or body.keys() != _BODY_KEYS:
             return "snapshot body is malformed", False, None
@@ -345,9 +420,14 @@ class CheckpointStore:
 
     # -- quarantine -------------------------------------------------------
 
-    def _quarantine(self, path: Path, stage: str, reason: str,
-                    lineage: Optional[CheckpointLineage]) -> None:
-        """Move a bad snapshot aside and record why."""
+    def quarantine(self, path: Path, stage: str, reason: str,
+                   lineage: Optional[CheckpointLineage]) -> None:
+        """Move a bad snapshot aside and record why.
+
+        :meth:`load` calls it for a snapshot that fails verification;
+        the builder calls it for a verified one whose payload then fails
+        to decode.
+        """
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         target = self.quarantine_dir / path.name
         n = 0

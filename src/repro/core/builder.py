@@ -332,7 +332,10 @@ class MapBuilder:
         touched, note lists of the ``note_components`` it wrote — are
         restored *absolutely* (each snapshot carries the cumulative
         state at its boundary, so restores are idempotent in stage
-        order, whatever mix of loads and recomputes precedes them).
+        order, whatever mix of loads and recomputes precedes them). A
+        snapshot that verifies but whose payload fails to decode is
+        quarantined like a corrupt one, and the stage recomputes. The
+        codec calls run in ``ckpt.encode`` / ``ckpt.decode`` spans.
 
         An armed crash fires only after a fresh compute (and after its
         snapshot is durable), never after a load — that asymmetry is
@@ -350,17 +353,26 @@ class MapBuilder:
             snapshot = (store.load(stage, lineage, input_digest)
                         if self._reuse else None)
             if snapshot is not None:
-                value = stage_payload_from_dict(
-                    stage, snapshot.payload, atlas=self._scenario.atlas)
-                self._faults.restore_scopes(snapshot.scopes)
-                for component, notes in snapshot.notes.items():
-                    self._notes[component] = list(notes)
-                lineage.stages_reused.append(stage)
-                self._stage_output_digests[stage] = snapshot.digest
-                return value
+                try:
+                    with self._recorder.span("ckpt.decode"):
+                        value = stage_payload_from_dict(
+                            stage, snapshot.payload,
+                            atlas=self._scenario.atlas)
+                except ValidationError as exc:
+                    store.quarantine(snapshot.path, stage,
+                                     f"undecodable payload: {exc}", lineage)
+                else:
+                    self._faults.restore_scopes(snapshot.scopes)
+                    for component, notes in snapshot.notes.items():
+                        self._notes[component] = list(notes)
+                    lineage.stages_reused.append(stage)
+                    self._stage_output_digests[stage] = snapshot.digest
+                    return value
         value = compute()
         if store is not None:
-            store.save(stage, stage_payload_to_dict(stage, value),
+            with self._recorder.span("ckpt.encode"):
+                payload = stage_payload_to_dict(stage, value)
+            store.save(stage, payload,
                        scopes=self._faults.export_scopes(campaigns),
                        notes={c: list(self._notes.get(c, []))
                               for c in note_components},

@@ -6,14 +6,18 @@ measurement-derived parts of an :class:`InternetTrafficMap` through plain
 JSON: activity weights, service sites (with estimated cities as
 country/name pairs), user-to-host mappings, and predicted routes.
 
-It also hosts the **per-stage payload codecs** the ``repro.ckpt``
+It also hosts the **stage payload codec** the ``repro.ckpt``
 checkpointing subsystem snapshots builder stages with:
-:func:`stage_payload_to_dict` / :func:`stage_payload_from_dict` encode
-each stage's measurement output (campaign results, fused components,
-auxiliary artefacts) so a crashed build can resume bit-identically.
-Codec rule: **dict insertion order is preserved**, never sorted — some
-consumers accumulate floats by iterating these dicts, and float sums are
-only bit-stable in the original order.
+:func:`stage_payload_to_dict` / :func:`stage_payload_from_dict` are one
+typed walker over every stage's measurement output (campaign results,
+fused components, auxiliary artefacts), so a crashed build can resume
+bit-identically. The walker knows containers, scalars, numeric ndarrays,
+atlas cities and a whitelist of result dataclasses; it leaves ndarrays
+in place for the store to write as raw bytes, and packs long all-int or
+all-float sequences into arrays the same way. Codec rule: **dict
+insertion order is preserved**, never sorted — some consumers accumulate
+floats by iterating these dicts, and float sums are only bit-stable in
+the original order.
 
 Ground-truth-derived metadata (the scenario's prefix table) is *not*
 embedded; the loader re-attaches it from a scenario when cross-component
@@ -22,12 +26,13 @@ queries need it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ReproError, ValidationError
 from ..measure.atlas import TracerouteResult, VantagePoint
 from ..measure.cache_probing import CacheProbingResult
 from ..measure.catchment_probe import CatchmentMeasurement
@@ -38,7 +43,7 @@ from ..measure.resolver_assoc import ResolverAssociation
 from ..measure.reverse_traceroute import PathPair
 from ..measure.rootlogs import RootLogCrawlResult
 from ..measure.tlsscan import OrgFootprint, ScanObservation, TlsScanResult
-from ..net.geography import WorldAtlas
+from ..net.geography import City, WorldAtlas
 from ..services.tls import Certificate
 from .activity import ActivityEstimate
 from .traffic_map import (ComponentCoverage, InternetTrafficMap,
@@ -336,461 +341,154 @@ def map_from_json(text: Union[str, bytes],
 
 
 # ---------------------------------------------------------------------------
-# Stage payload codecs (repro.ckpt snapshots)
+# Stage payload codec (repro.ckpt snapshots)
 # ---------------------------------------------------------------------------
 
-def _int_list(array) -> List[int]:
-    return [int(v) for v in np.asarray(array).ravel()]
+#: The stage-output classes a snapshot may name, by class name. A
+#: checkpoint dir is input from outside the program, so decoding builds
+#: these, the containers below and atlas cities, and nothing else.
+_CLASSES = {cls.__name__: cls for cls in (
+    ActivityEstimate, CacheProbingResult, CatchmentMeasurement,
+    Certificate, CloudVantageResult, EcsMappingResult, IpIdAnalysis,
+    MappedSite, OrgFootprint, PathPair, ResolverAssociation,
+    RootLogCrawlResult, RoutesComponent, ScanObservation,
+    ServiceMappingResult, ServicesComponent, TlsScanResult,
+    TracerouteResult, UsersComponent, VantagePoint)}
+
+#: Each whitelisted class's field names, in declaration order.
+_FIELDS = {name: tuple(f.name for f in dataclasses.fields(cls))
+           for name, cls in _CLASSES.items()}
+
+_SEQUENCES = {"list": list, "tuple": tuple, "set": set,
+              "frozenset": frozenset}
+
+_SCALARS = (str, int, float, bool)
+
+#: Shortest all-int or all-float sequence packed into an array. Shorter
+#: ones (route paths, link pairs) stay inline JSON, where a blob
+#: reference would cost more than it saves.
+_PACK_MIN = 64
 
 
-def _cache_result_to_dict(result: Optional[CacheProbingResult]):
-    if result is None:
-        return None
-    return {
-        "prefix_ids": _int_list(result.prefix_ids),
-        "service_sids": [int(s) for s in result.service_sids],
-        "hits": [[int(h) for h in row] for row in result.hits],
-        "rounds": int(result.rounds),
-        "pop_of_prefix": _int_list(result.pop_of_prefix),
-    }
+def _pack(items) -> Any:
+    """A sequence's snapshot form: an int64 or float64 array when every
+    item is a plain int, or every one a float; else its encoded items.
+    ``items`` is a list, tuple or dict view (sized, re-iterable)."""
+    if len(items) >= _PACK_MIN:
+        kinds = set(map(type, items))
+        if kinds == {float}:
+            return np.fromiter(items, np.float64, len(items))
+        if kinds == {int}:
+            try:
+                return np.fromiter(items, np.int64, len(items))
+            except OverflowError:
+                pass
+    return [_encode(item) for item in items]
 
 
-def _cache_result_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    n = len(_get(raw, "prefix_ids", list, where))
-    hits = np.asarray(_get(raw, "hits", list, where),
-                      dtype=np.int64).reshape(
-        len(_get(raw, "service_sids", list, where)), n)
-    return CacheProbingResult(
-        prefix_ids=np.asarray(raw["prefix_ids"], dtype=np.int64),
-        service_sids=tuple(int(s) for s in raw["service_sids"]),
-        hits=hits,
-        rounds=int(_get(raw, "rounds", int, where)),
-        pop_of_prefix=np.asarray(
-            _get(raw, "pop_of_prefix", list, where), dtype=np.int64))
+def _encode(value: Any) -> Any:
+    """One value's snapshot form (see :func:`stage_payload_to_dict`)."""
+    kind = type(value)
+    if value is None or kind in _SCALARS or kind is np.ndarray:
+        return value
+    if isinstance(value, np.generic):
+        return value.item()
+    if kind is dict:
+        return {"dict": [_pack(value), _pack(value.values())]}
+    if kind in (set, frozenset):
+        try:    # sorted, so the snapshot bytes never depend on hashing
+            value = sorted(value)
+        except TypeError:
+            pass
+        return {kind.__name__: _pack(value)}
+    if kind in (list, tuple):
+        return {kind.__name__: _pack(value)}
+    if kind is City:
+        return {"City": [value.country_code, value.name]}
+    if _CLASSES.get(kind.__name__) is kind:
+        return {kind.__name__: {name: _encode(getattr(value, name))
+                                for name in _FIELDS[kind.__name__]}}
+    raise ValidationError(f"cannot snapshot a {kind.__name__}")
 
 
-def _rootlog_result_to_dict(result: Optional[RootLogCrawlResult]):
-    if result is None:
-        return None
-    return {
-        "volume_by_as": {str(k): v for k, v in
-                         result.volume_by_as.items()},
-        "roots_crawled": result.roots_crawled,
-        "roots_total": result.roots_total,
-        "public_resolver_volume": result.public_resolver_volume,
-        "min_query_threshold": result.min_query_threshold,
-        "roots_truncated": result.roots_truncated,
-    }
+def _unpack(items: Any, atlas: WorldAtlas) -> list:
+    if isinstance(items, np.ndarray):
+        return items.tolist()
+    if type(items) is not list:
+        raise ValidationError(f"not a snapshot sequence: {items!r:.80}")
+    return [_decode(item, atlas) for item in items]
 
 
-def _rootlog_result_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    return RootLogCrawlResult(
-        volume_by_as={int(k): float(v) for k, v in
-                      _get(raw, "volume_by_as", dict, where).items()},
-        roots_crawled=int(_get(raw, "roots_crawled", int, where)),
-        roots_total=int(_get(raw, "roots_total", int, where)),
-        public_resolver_volume=float(
-            _get(raw, "public_resolver_volume", (int, float), where)),
-        min_query_threshold=float(
-            _get(raw, "min_query_threshold", (int, float), where)),
-        roots_truncated=int(_get(raw, "roots_truncated", int, where)))
-
-
-def _activity_to_dict(activity: Optional[ActivityEstimate]):
-    if activity is None:
-        return None
-    return {
-        "by_prefix": {str(k): v for k, v in activity.by_prefix.items()},
-        "by_as": {str(k): v for k, v in activity.by_as.items()},
-        "techniques": list(activity.techniques),
-        "scale_factor": activity.scale_factor,
-    }
-
-
-def _activity_from_dict(raw, where):
-    if raw is None:
-        return None
-    scale = _get(raw, "scale_factor", None, where)
-    return ActivityEstimate(
-        by_prefix={int(k): float(v) for k, v in
-                   _get(raw, "by_prefix", dict, where).items()},
-        by_as={int(k): float(v) for k, v in
-               _get(raw, "by_as", dict, where).items()},
-        techniques=tuple(_get(raw, "techniques", list, where)),
-        scale_factor=None if scale is None else float(scale))
-
-
-def _users_stage_to_dict(value):
-    return {
-        "component": _users_to_dict(value["component"]),
-        "activity": _activity_to_dict(value["activity"]),
-    }
-
-
-def _users_stage_from_dict(raw, atlas, where):
-    return {
-        "component": _users_from_dict(
-            _get(raw, "component", dict, where), f"{where}.component"),
-        "activity": _activity_from_dict(
-            _get(raw, "activity", None, where), f"{where}.activity"),
-    }
-
-
-def _tls_result_to_dict(result: Optional[TlsScanResult]):
-    if result is None:
-        return None
-    return {
-        "observations": [{
-            "prefix_id": obs.prefix_id,
-            "origin_asn": obs.origin_asn,
-            "cert": [obs.certificate.organization,
-                     obs.certificate.common_name,
-                     list(obs.certificate.sans)],
-        } for obs in result.observations],
-        "footprints": {
-            org: {
-                "home_asn": fp.home_asn,
-                "onnet_prefixes": list(fp.onnet_prefixes),
-                "offnet_prefixes": list(fp.offnet_prefixes),
-                "offnet_asns": sorted(fp.offnet_asns),
-            } for org, fp in result.footprints.items()},
-    }
-
-
-def _tls_result_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    observations = []
-    for i, entry in enumerate(_get(raw, "observations", list, where)):
-        obs_where = f"{where}.observations[{i}]"
-        cert = _get(entry, "cert", list, obs_where)
-        if len(cert) != 3:
-            raise ValidationError(
-                f"{obs_where}.cert must be [org, common_name, sans]")
-        observations.append(ScanObservation(
-            prefix_id=int(_get(entry, "prefix_id", int, obs_where)),
-            origin_asn=int(_get(entry, "origin_asn", int, obs_where)),
-            certificate=Certificate(
-                organization=cert[0], common_name=cert[1],
-                sans=tuple(cert[2]))))
-    footprints = {}
-    for org, fp in _get(raw, "footprints", dict, where).items():
-        fp_where = f"{where}.footprints[{org!r}]"
-        footprints[org] = OrgFootprint(
-            organization=org,
-            home_asn=int(_get(fp, "home_asn", int, fp_where)),
-            onnet_prefixes=[int(p) for p in
-                            _get(fp, "onnet_prefixes", list, fp_where)],
-            offnet_prefixes=[int(p) for p in
-                             _get(fp, "offnet_prefixes", list, fp_where)],
-            offnet_asns={int(a) for a in
-                         _get(fp, "offnet_asns", list, fp_where)})
-    return TlsScanResult(observations=observations, footprints=footprints)
-
-
-def _ecs_result_to_dict(result: Optional[EcsMappingResult]):
-    if result is None:
-        return None
-    return {
-        "per_service": {
-            key: {
-                "client_pids": _int_list(m.client_pids),
-                "answer_pids": _int_list(m.answer_pids),
-            } for key, m in result.per_service.items()},
-        "uncovered_services": list(result.uncovered_services),
-    }
-
-
-def _ecs_result_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    per_service = {}
-    for key, entry in _get(raw, "per_service", dict, where).items():
-        svc_where = f"{where}.per_service[{key!r}]"
-        per_service[key] = ServiceMappingResult(
-            service_key=key,
-            client_pids=np.asarray(
-                _get(entry, "client_pids", list, svc_where),
-                dtype=np.int64),
-            answer_pids=np.asarray(
-                _get(entry, "answer_pids", list, svc_where),
-                dtype=np.int64))
-    return EcsMappingResult(
-        per_service=per_service,
-        uncovered_services=list(
-            _get(raw, "uncovered_services", list, where)))
-
-
-def _catchments_to_dict(catchments: Dict[str, CatchmentMeasurement]):
-    return {
-        hg: {
-            "prefix_ids": _int_list(m.prefix_ids),
-            "site_of_prefix": _int_list(m.site_of_prefix),
-            "site_count": m.site_count,
-        } for hg, m in catchments.items()}
-
-
-def _catchments_from_dict(raw, atlas, where):
-    catchments = {}
-    for hg, entry in raw.items():
-        hg_where = f"{where}[{hg!r}]"
-        catchments[hg] = CatchmentMeasurement(
-            prefix_ids=np.asarray(
-                _get(entry, "prefix_ids", list, hg_where),
-                dtype=np.int64),
-            site_of_prefix=np.asarray(
-                _get(entry, "site_of_prefix", list, hg_where),
-                dtype=np.int64),
-            site_count=int(_get(entry, "site_count", int, hg_where)))
-    return catchments
-
-
-def _services_stage_to_dict(value):
-    return {
-        "component": _services_to_dict(value["component"]),
-        "tls": _tls_result_to_dict(value["tls"]),
-        "ecs": _ecs_result_to_dict(value["ecs"]),
-        "catchments": _catchments_to_dict(value["catchments"]),
-    }
-
-
-def _services_stage_from_dict(raw, atlas, where):
-    return {
-        "component": _services_from_dict(
-            _get(raw, "component", dict, where), atlas,
-            f"{where}.component"),
-        "tls": _tls_result_from_dict(
-            _get(raw, "tls", None, where), atlas, f"{where}.tls"),
-        "ecs": _ecs_result_from_dict(
-            _get(raw, "ecs", None, where), atlas, f"{where}.ecs"),
-        "catchments": _catchments_from_dict(
-            _get(raw, "catchments", dict, where), atlas,
-            f"{where}.catchments"),
-    }
-
-
-def _vp_to_dict(vp: VantagePoint) -> Dict[str, Any]:
-    return {"vp_id": vp.vp_id, "asn": vp.asn,
-            "city": _city_to_list(vp.city)}
-
-
-def _vp_from_dict(raw, atlas, where) -> VantagePoint:
-    return VantagePoint(
-        vp_id=int(_get(raw, "vp_id", int, where)),
-        asn=int(_get(raw, "asn", int, where)),
-        city=_city_from_list(_get(raw, "city", list, where), atlas,
-                             f"{where}.city"))
-
-
-def _atlas_stage_to_dict(value):
-    if value is None:
-        return None
-    # traceroutes is None when the platform came up but the measurement
-    # campaign itself failed (the vantage points are still usable).
-    traceroutes = value["traceroutes"]
-    return {
-        "vantage_points": [_vp_to_dict(vp)
-                           for vp in value["vantage_points"]],
-        "traceroutes": None if traceroutes is None else [{
-            "vp": _vp_to_dict(tr.vp),
-            "dst_asn": tr.dst_asn,
-            "as_path": (list(tr.as_path)
-                        if tr.as_path is not None else None),
-        } for tr in traceroutes],
-    }
-
-
-def _atlas_stage_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    traceroutes_raw = _get(raw, "traceroutes", None, where)
-    traceroutes = None
-    if traceroutes_raw is not None:
-        traceroutes = []
-        for i, entry in enumerate(traceroutes_raw):
-            tr_where = f"{where}.traceroutes[{i}]"
-            as_path = _get(entry, "as_path", None, tr_where)
-            traceroutes.append(TracerouteResult(
-                vp=_vp_from_dict(_get(entry, "vp", dict, tr_where), atlas,
-                                 f"{tr_where}.vp"),
-                dst_asn=int(_get(entry, "dst_asn", int, tr_where)),
-                as_path=(tuple(int(a) for a in as_path)
-                         if as_path is not None else None)))
-    return {
-        "vantage_points": [
-            _vp_from_dict(entry, atlas, f"{where}.vantage_points[{i}]")
-            for i, entry in enumerate(
-                _get(raw, "vantage_points", list, where))],
-        "traceroutes": traceroutes,
-    }
-
-
-def _path_pairs_to_dict(pairs: Optional[List[PathPair]]):
-    if pairs is None:
-        return None
-    return [{
-        "vp_asn": p.vp_asn,
-        "remote_asn": p.remote_asn,
-        "forward": list(p.forward) if p.forward is not None else None,
-        "reverse": list(p.reverse) if p.reverse is not None else None,
-    } for p in pairs]
-
-
-def _path_pairs_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    pairs = []
-    for i, entry in enumerate(raw):
-        pair_where = f"{where}[{i}]"
-        forward = _get(entry, "forward", None, pair_where)
-        reverse = _get(entry, "reverse", None, pair_where)
-        pairs.append(PathPair(
-            vp_asn=int(_get(entry, "vp_asn", int, pair_where)),
-            remote_asn=int(_get(entry, "remote_asn", int, pair_where)),
-            forward=(tuple(int(a) for a in forward)
-                     if forward is not None else None),
-            reverse=(tuple(int(a) for a in reverse)
-                     if reverse is not None else None)))
-    return pairs
-
-
-def _cloud_result_to_dict(result: Optional[CloudVantageResult]):
-    if result is None:
-        return None
-    return {
-        "cloud_asn": result.cloud_asn,
-        "discovered_links": [list(link) for link in
-                             sorted(result.discovered_links)],
-        "targets_probed": result.targets_probed,
-        "targets_reached": result.targets_reached,
-    }
-
-
-def _cloud_result_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    return CloudVantageResult(
-        cloud_asn=int(_get(raw, "cloud_asn", int, where)),
-        discovered_links=frozenset(
-            (int(a), int(b)) for a, b in
-            _get(raw, "discovered_links", list, where)),
-        targets_probed=int(_get(raw, "targets_probed", int, where)),
-        targets_reached=int(_get(raw, "targets_reached", int, where)))
-
-
-def _ipid_analyses_to_dict(analyses: Optional[List[IpIdAnalysis]]):
-    if analyses is None:
-        return None
-    return [{
-        "address": a.address,
-        "mean_velocity": a.mean_velocity,
-        "diurnal_amplitude": a.diurnal_amplitude,
-        "fit_residual": a.fit_residual,
-        "usable": a.usable,
-    } for a in analyses]
-
-
-def _ipid_analyses_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    return [IpIdAnalysis(
-        address=_get(entry, "address", str, f"{where}[{i}]"),
-        mean_velocity=float(_get(entry, "mean_velocity", (int, float),
-                                 f"{where}[{i}]")),
-        diurnal_amplitude=float(
-            _get(entry, "diurnal_amplitude", (int, float),
-                 f"{where}[{i}]")),
-        fit_residual=float(_get(entry, "fit_residual", (int, float),
-                                f"{where}[{i}]")),
-        usable=bool(_get(entry, "usable", bool, f"{where}[{i}]")))
-        for i, entry in enumerate(raw)]
-
-
-def _resolver_assoc_to_dict(assoc: Optional[ResolverAssociation]):
-    if assoc is None:
-        return None
-    return {
-        "weights": {
-            str(resolver): {str(asn): w for asn, w in clients.items()}
-            for resolver, clients in assoc.weights.items()},
-        "sample_size": assoc.sample_size,
-    }
-
-
-def _resolver_assoc_from_dict(raw, atlas, where):
-    if raw is None:
-        return None
-    return ResolverAssociation(
-        weights={
-            int(resolver): {int(asn): float(w)
-                            for asn, w in clients.items()}
-            for resolver, clients in
-            _get(raw, "weights", dict, where).items()},
-        sample_size=int(_get(raw, "sample_size", int, where)))
-
-
-def _routes_stage_to_dict(value):
-    return _routes_to_dict(value)
-
-
-def _routes_stage_from_dict(raw, atlas, where):
-    return _routes_from_dict(raw, where)
-
-
-# stage name -> (encode, decode). Decoders take (raw, atlas, where).
-_STAGE_CODECS = {
-    "cache-probing": (_cache_result_to_dict, _cache_result_from_dict),
-    "root-logs": (_rootlog_result_to_dict, _rootlog_result_from_dict),
-    "users": (_users_stage_to_dict, _users_stage_from_dict),
-    "services": (_services_stage_to_dict, _services_stage_from_dict),
-    "routes": (_routes_stage_to_dict, _routes_stage_from_dict),
-    "aux-atlas": (_atlas_stage_to_dict, _atlas_stage_from_dict),
-    "aux-reverse-traceroute": (_path_pairs_to_dict,
-                               _path_pairs_from_dict),
-    "aux-cloud-vantage": (_cloud_result_to_dict, _cloud_result_from_dict),
-    "aux-ipid": (_ipid_analyses_to_dict, _ipid_analyses_from_dict),
-    "aux-resolver-assoc": (_resolver_assoc_to_dict,
-                           _resolver_assoc_from_dict),
-}
-
-#: Stage names with a registered payload codec, in builder order.
-CODEC_STAGES = tuple(_STAGE_CODECS)
+def _decode(node: Any, atlas: WorldAtlas) -> Any:
+    """Inverse of :func:`_encode`; builds only whitelisted types."""
+    if node is None or type(node) in _SCALARS \
+            or isinstance(node, np.ndarray):
+        return node
+    if type(node) is not dict or len(node) != 1:
+        raise ValidationError(f"not a snapshot value: {node!r:.80}")
+    (tag, inner), = node.items()
+    if tag in _SEQUENCES:
+        return _SEQUENCES[tag](_unpack(inner, atlas))
+    if tag in ("dict", "City") and (type(inner) is not list
+                                    or len(inner) != 2):
+        raise ValidationError(f"{tag} must be a pair, got {inner!r:.80}")
+    if tag == "dict":
+        keys, values = (_unpack(part, atlas) for part in inner)
+        if len(keys) != len(values):
+            raise ValidationError(f"dict has {len(keys)} keys but "
+                                  f"{len(values)} values")
+        return dict(zip(keys, values))
+    if tag == "City":
+        return atlas.city(*inner)
+    if tag not in _CLASSES:
+        raise ValidationError(f"unknown class {tag!r}")
+    if type(inner) is not dict:
+        raise ValidationError(f"{tag} fields must be an object")
+    names = _FIELDS[tag]
+    for name in names:
+        if name not in inner:
+            raise ValidationError(f"{tag} is missing required key {name!r}")
+    if len(inner) != len(names):
+        raise ValidationError(f"{tag} has unknown keys "
+                              f"{sorted(set(inner) - set(names))}")
+    return _CLASSES[tag](**{name: _decode(inner[name], atlas)
+                            for name in names})
 
 
 def stage_payload_to_dict(stage: str, value: Any) -> Any:
     """Encode one builder stage's output for a ``repro.ckpt`` snapshot.
 
-    ``value`` is the stage's native output (a campaign result, a fused
-    component bundle, an auxiliary artefact — possibly None when the
-    campaign failed); the return value is plain-JSON serialisable. Dict
-    insertion order is deliberately preserved (see module docstring).
+    ``value`` is the stage's native output: a campaign result, a fused
+    component bundle or an auxiliary artefact, possibly None when the
+    campaign failed. The result is plain JSON except for numeric
+    ndarrays, which :class:`~repro.ckpt.CheckpointStore` stores as raw
+    bytes. Scalars stay themselves (numpy scalars become the equal
+    Python scalar). Every other value is a one-key object naming its
+    type: ``{"list"|"tuple"|"set"|"frozenset": items}``, ``{"dict":
+    [keys, values]}``, ``{"City": [country_code, name]}`` or ``{class:
+    {field: value}}`` for the whitelisted result classes. ``items``,
+    ``keys`` and ``values`` are lists of encoded values, or one int64 or
+    float64 array when the sequence is long and all plain ints or all
+    floats. Dict insertion order is preserved (see module docstring);
+    sets are written sorted.
     """
     try:
-        encode, __ = _STAGE_CODECS[stage]
-    except KeyError:
-        raise ValidationError(
-            f"no payload codec for stage {stage!r} "
-            f"(known: {', '.join(_STAGE_CODECS)})") from None
-    return encode(value)
+        return _encode(value)
+    except ValidationError as exc:
+        raise ValidationError(f"stage[{stage!r}]: {exc}") from None
 
 
 def stage_payload_from_dict(stage: str, payload: Any,
                             atlas: Optional[WorldAtlas] = None) -> Any:
     """Decode a snapshot payload back into the stage's native output.
 
-    The inverse of :func:`stage_payload_to_dict`; malformed payloads
-    raise :class:`ValidationError` naming the offending key. ``atlas``
-    resolves serialized cities (services sites, atlas vantage points).
+    The inverse of :func:`stage_payload_to_dict`: values come back with
+    their types, dict order, and array dtypes and shapes. A malformed
+    payload raises :class:`ValidationError`. ``atlas`` resolves
+    serialized cities (services sites, atlas vantage points).
     """
     try:
-        __, decode = _STAGE_CODECS[stage]
-    except KeyError:
-        raise ValidationError(
-            f"no payload codec for stage {stage!r} "
-            f"(known: {', '.join(_STAGE_CODECS)})") from None
-    return decode(payload, atlas or WorldAtlas.default(),
-                  f"stage[{stage!r}]")
+        return _decode(payload, atlas or WorldAtlas.default())
+    except (ReproError, TypeError, ValueError) as exc:
+        # TypeError: an unhashable set member or dict key.
+        raise ValidationError(f"stage[{stage!r}]: {exc}") from None

@@ -31,6 +31,23 @@ OPTS = BuilderOptions(run_auxiliary_campaigns=True)
 PLAN = FaultPlan.uniform(0.2, seed=11)
 ALL_STAGES = checkpoint_stages(OPTS)
 INPUTS = "i" * 64  # a stage input digest for the store-level tests
+BODY_MARKER = b',"body":'
+
+
+def snapshot_meta(path) -> dict:
+    """The envelope meta of a snapshot: everything before its body."""
+    raw = path.read_bytes()
+    return json.loads(raw[:raw.index(BODY_MARKER)] + b"}")
+
+
+def store_for(path, root):
+    """A store at ``root`` whose digests accept the snapshot at ``path``,
+    and that snapshot's input digest."""
+    meta = snapshot_meta(path)
+    store = CheckpointStore(root, config_digest=meta["config_digest"],
+                            fault_plan_digest=meta["fault_plan_digest"],
+                            options_digest=meta["options_digest"])
+    return store, meta["input_digest"]
 
 
 @pytest.fixture(scope="module")
@@ -83,9 +100,9 @@ class TestResume:
         MapBuilder(small_scenario, options=OPTS, faults=PLAN,
                    checkpoint_dir=ckpt).build()
         [path] = (ckpt / "snapshots").glob("services.*.json")
-        envelope = json.loads(path.read_text())
-        envelope["body"]["payload"] = {"tampered": True}
-        path.write_text(json.dumps(envelope, separators=(",", ":")))
+        raw = bytearray(path.read_bytes())
+        raw[raw.index(BODY_MARKER) + len(BODY_MARKER) + 20] ^= 0x01
+        path.write_bytes(bytes(raw))
 
         builder = MapBuilder(small_scenario, options=OPTS, faults=PLAN,
                              checkpoint_dir=ckpt, resume=True)
@@ -106,7 +123,10 @@ class TestResume:
         MapBuilder(small_scenario, options=OPTS, faults=PLAN,
                    checkpoint_dir=ckpt).build()
         [path] = (ckpt / "snapshots").glob("services.*.json")
-        path.write_text(json.dumps(json.loads(path.read_text())))
+        raw = path.read_bytes()
+        envelope, blob = raw.split(b"\n", 1)  # compact JSON has no newline
+        path.write_bytes(json.dumps(json.loads(envelope)).encode()
+                         + b"\n" + blob)
 
         builder = MapBuilder(small_scenario, options=OPTS, faults=PLAN,
                              checkpoint_dir=ckpt, resume=True)
@@ -153,19 +173,78 @@ class TestResume:
 
     def test_stage_codecs_invert_snapshots(self, small_scenario,
                                            tmp_path):
-        """decode(encode(x)) re-encodes to the identical payload dict."""
+        """decode(encode(x)) re-encodes to the identical snapshot bytes."""
         ckpt = tmp_path / "ckpt"
         MapBuilder(small_scenario, options=OPTS, faults=PLAN,
                    checkpoint_dir=ckpt).build()
         snapshots = sorted((ckpt / "snapshots").glob("*.json"))
         assert len(snapshots) == len(ALL_STAGES)
         for path in snapshots:
-            envelope = json.loads(path.read_text())
-            stage = envelope["stage"]
-            payload = envelope["body"]["payload"]
-            value = stage_payload_from_dict(stage, payload,
+            store, inputs = store_for(path, ckpt)
+            again, __ = store_for(path, tmp_path / "again")
+            stage = snapshot_meta(path)["stage"]
+            snapshot = store.load(stage, None, inputs)
+            value = stage_payload_from_dict(stage, snapshot.payload,
                                             atlas=small_scenario.atlas)
-            assert stage_payload_to_dict(stage, value) == payload, stage
+            rewritten = again.save(stage, stage_payload_to_dict(stage, value),
+                                   snapshot.scopes, snapshot.notes, inputs)
+            body = path.read_bytes().split(BODY_MARKER, 1)[1]
+            assert rewritten.read_bytes().split(BODY_MARKER, 1)[1] == body, \
+                stage
+
+    @pytest.mark.parametrize("payload", [
+        {"tampered": True},                                 # missing key
+        {"Evil": {}},                                       # unknown class
+        {"dtype": "|O", "shape": [1], "offset": 0},         # object dtype
+        {"dtype": "<i8", "shape": [1 << 30], "offset": 0},  # past blob end
+    ], ids=["missing-key", "unknown-class", "object-dtype", "past-blob-end"])
+    def test_undecodable_snapshot_quarantined_and_recomputed(
+            self, small_scenario, fresh_json, tmp_path, payload):
+        """A snapshot that verifies but does not decode is never trusted:
+        quarantined, reason recorded, stage recomputed."""
+        ckpt = tmp_path / "ckpt"
+        MapBuilder(small_scenario, options=OPTS, faults=PLAN,
+                   checkpoint_dir=ckpt).build()
+        [path] = (ckpt / "snapshots").glob("services.*.json")
+        store, inputs = store_for(path, ckpt)
+        snapshot = store.load("services", None, inputs)
+        store.save("services", payload, snapshot.scopes, snapshot.notes,
+                   inputs)
+
+        builder = MapBuilder(small_scenario, options=OPTS, faults=PLAN,
+                             checkpoint_dir=ckpt, resume=True)
+        assert map_to_json(builder.build()) == fresh_json
+        lineage = builder.ckpt_lineage
+        assert "services" in lineage.stages_recomputed
+        assert [q["stage"] for q in lineage.quarantined] == ["services"]
+        assert lineage.quarantined[0]["reason"]
+        assert len(list((ckpt / "quarantine").iterdir())) == 1
+
+    def test_codec_runs_in_ckpt_spans(self, small_scenario, tmp_path):
+        """Encode and decode are timed as ckpt.encode / ckpt.decode, one
+        call per stage saved or reused."""
+        def calls(recorder, label):
+            return sum(t.calls for t in recorder.spans() if t.name == label)
+
+        ckpt = tmp_path / "ckpt"
+        recorder = Recorder()
+        builder = MapBuilder(small_scenario, options=OPTS, faults=PLAN,
+                             recorder=recorder, checkpoint_dir=ckpt)
+        builder.build()
+        saved = builder.ckpt_lineage.stages_recomputed
+        assert calls(recorder, "ckpt.encode") == len(saved) \
+            == len(ALL_STAGES)
+        assert calls(recorder, "ckpt.decode") == 0
+
+        recorder = Recorder()
+        builder = MapBuilder(small_scenario, options=OPTS, faults=PLAN,
+                             recorder=recorder, checkpoint_dir=ckpt,
+                             resume=True)
+        builder.build()
+        reused = builder.ckpt_lineage.stages_reused
+        assert calls(recorder, "ckpt.decode") == len(reused) \
+            == len(ALL_STAGES)
+        assert calls(recorder, "ckpt.encode") == 0
 
 
 class TestStore:
