@@ -129,6 +129,26 @@ AUX_STAGES = ("aux-atlas", "aux-reverse-traceroute", "aux-cloud-vantage",
 # collect than the freeze saves.
 _GC_FREEZE_MIN_PREFIXES = 25_000
 
+# Build budgets: client-centric geolocation per serving organisation,
+# route-prediction source ASes (the most active), and the root-log
+# query count below which a resolver AS counts as undetected.
+MAX_GEOLOCATED_SITES_PER_ORG = 40
+ROUTE_PAIRS_TOP_ASES = 150
+ROOTLOG_MIN_QUERIES = 50.0
+
+
+def _checked_notes(notes: object) -> Dict[str, List[str]]:
+    """A snapshot's note lists, copied; :class:`ValidationError` unless
+    they map component names to lists of strings."""
+    if not (isinstance(notes, dict) and all(
+            isinstance(component, str) and isinstance(lines, list)
+            and all(isinstance(line, str) for line in lines)
+            for component, lines in notes.items())):
+        raise ValidationError(
+            f"snapshot notes must map components to lists of strings, "
+            f"got {notes!r}")
+    return {component: list(lines) for component, lines in notes.items()}
+
 
 def checkpoint_stages(options: "BuilderOptions") -> Tuple[str, ...]:
     """The stage boundaries a build with these options passes through."""
@@ -152,10 +172,6 @@ class BuilderOptions:
     # strictly-third-party map.
     use_catchment_probing: bool = True
     geolocate_sites: bool = True
-    max_geolocated_sites_per_org: int = 40
-    route_pairs_top_ases: int = 150
-    rootlog_min_queries: float = 50.0
-    rng_label: str = "itm-builder"
     # Auxiliary §3.1.3/§3.3.2 campaigns (Atlas traceroutes, reverse
     # traceroute, cloud-vantage, IP ID monitoring, resolver association).
     # They validate and enrich the map but feed none of its three
@@ -225,7 +241,6 @@ class MapBuilder:
         self._scenario = scenario
         self._options = options or BuilderOptions()
         self._options.validate()
-        self._rng = substream(scenario.config.seed, self._options.rng_label)
         self.artifacts = BuildArtifacts()
         self._faults = self._resolve_faults(faults)
         self._notes: Dict[str, List[str]] = {}
@@ -333,9 +348,10 @@ class MapBuilder:
         restored *absolutely* (each snapshot carries the cumulative
         state at its boundary, so restores are idempotent in stage
         order, whatever mix of loads and recomputes precedes them). A
-        snapshot that verifies but whose payload fails to decode is
-        quarantined like a corrupt one, and the stage recomputes. The
-        codec calls run in ``ckpt.encode`` / ``ckpt.decode`` spans.
+        snapshot that verifies but whose payload, scope states or note
+        lists fail to decode is quarantined like a corrupt one, before
+        any of its side effects is restored, and the stage recomputes.
+        The codec calls run in ``ckpt.encode`` / ``ckpt.decode`` spans.
 
         An armed crash fires only after a fresh compute (and after its
         snapshot is durable), never after a load — that asymmetry is
@@ -358,13 +374,13 @@ class MapBuilder:
                         value = stage_payload_from_dict(
                             stage, snapshot.payload,
                             atlas=self._scenario.atlas)
+                    notes = _checked_notes(snapshot.notes)
+                    self._faults.restore_scopes(snapshot.scopes)
                 except ValidationError as exc:
                     store.quarantine(snapshot.path, stage,
-                                     f"undecodable payload: {exc}", lineage)
+                                     f"undecodable snapshot: {exc}", lineage)
                 else:
-                    self._faults.restore_scopes(snapshot.scopes)
-                    for component, notes in snapshot.notes.items():
-                        self._notes[component] = list(notes)
+                    self._notes.update(notes)
                     lineage.stages_reused.append(stage)
                     self._stage_output_digests[stage] = snapshot.digest
                     return value
@@ -408,7 +424,7 @@ class MapBuilder:
     def _run_rootlog_crawl(self) -> RootLogCrawlResult:
         crawler = RootLogCrawler(
             self._scenario.root_archive,
-            min_query_threshold=self._options.rootlog_min_queries,
+            min_query_threshold=ROOTLOG_MIN_QUERIES,
             faults=self._faults, recorder=self._recorder,
             executor=self._executor)
         return crawler.run()
@@ -685,7 +701,7 @@ class MapBuilder:
                         + footprint.offnet_prefixes):
                 city = None
                 if (self._options.geolocate_sites and geolocated
-                        < self._options.max_geolocated_sites_per_org):
+                        < MAX_GEOLOCATED_SITES_PER_ORG):
                     client_pids = clients_of_answer.get(pid, [])
                     if len(client_pids) >= 3:
                         client_cities = [prefixes.city_of(c)
@@ -715,8 +731,7 @@ class MapBuilder:
             self._note("routes", "collector snapshot is stale; predicting "
                                  "over the thinned topology")
         predictor = PathPredictor(view, recorder=self._recorder)
-        top_ases = [asn for asn, __ in users.top_ases(
-            self._options.route_pairs_top_ases)]
+        top_ases = [asn for asn, __ in users.top_ases(ROUTE_PAIRS_TOP_ASES)]
         dst_asns: List[int] = []
         if self.artifacts.tls_result is not None:
             for org in self.artifacts.tls_result.organizations():

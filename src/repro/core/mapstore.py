@@ -329,12 +329,6 @@ OutageImpactAnalyzer` needs; without it outage queries raise. The map's
         unique) — the valid ``/v1/cdf`` targets."""
         return self._route_dst_unique.copy()
 
-    def services_mapping_prefix(self, pid: int) -> List[str]:
-        """Service keys whose user→host mapping covers a prefix, in
-        sorted order."""
-        return [key for i, key in enumerate(self.service_keys)
-                if self.host_for_user(key, pid) is not None]
-
     # -- §2.1 endpoint queries --------------------------------------------
 
     def cdf_contrast(self, target_asn: int) -> WeightingContrast:

@@ -75,11 +75,6 @@ class CoverageCaveat:
     missing_techniques: Tuple[str, ...]
     detail: str
 
-    @property
-    def severe(self) -> bool:
-        """Whether the component lost most of its input."""
-        return self.coverage < 0.5
-
 
 def coverage_caveats(itm: InternetTrafficMap) -> List[CoverageCaveat]:
     """Caveats for every degraded component of a map (empty when clean).

@@ -77,9 +77,6 @@ class WeightedCDF:
         return [(float(v), float(c))
                 for v, c in zip(self._values, self._cum)]
 
-    def fraction_at_most(self, x: float) -> float:
-        return self.cdf(x)
-
     def __len__(self) -> int:
         return len(self._values)
 

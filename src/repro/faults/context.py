@@ -21,6 +21,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from ..errors import ValidationError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..rand import substream
 from .plan import FaultKind, FaultPlan, RetryPolicy
@@ -63,6 +64,30 @@ class FaultCounters:
         self.retries += other.retries
         self.giveups += other.giveups
         self.backoff_s += other.backoff_s
+
+
+def _check_scope_state(name: str, state: object) -> None:
+    """Raise :class:`ValidationError` unless ``state`` has the shape
+    :meth:`CampaignFaultScope.export_state` writes."""
+    fields = {f.name for f in dataclasses.fields(FaultCounters)}
+    kinds = {kind.value for kind in FaultKind}
+
+    def counters_ok(counters: object) -> bool:
+        return isinstance(counters, dict) and set(counters) == fields \
+            and all(type(v) in (int, float) for v in counters.values())
+
+    if not (isinstance(state, dict)
+            and set(state) == {"counters", "by_kind", "failed",
+                               "failure_reason"}
+            and counters_ok(state["counters"])
+            and isinstance(state["by_kind"], dict)
+            and all(kind in kinds and counters_ok(counters)
+                    for kind, counters in state["by_kind"].items())
+            and isinstance(state["failed"], bool)
+            and isinstance(state["failure_reason"], (str, type(None)))):
+        raise ValidationError(
+            f"fault scope {name!r} is not an exported scope state: "
+            f"{state!r}")
 
 
 class CampaignFaultScope:
@@ -345,7 +370,16 @@ class FaultContext:
 
     def restore_scopes(self, states: Dict[str, Dict]) -> None:
         """Restore campaign scopes from :meth:`export_scopes` output,
-        creating scopes that do not exist yet."""
+        creating scopes that do not exist yet.
+
+        Every state is checked (:func:`_check_scope_state`) before any
+        is restored, so a malformed one raises :class:`ValidationError`
+        and leaves the context untouched.
+        """
+        if not isinstance(states, dict):
+            raise ValidationError("fault scopes must be an object")
+        for name, state in states.items():
+            _check_scope_state(name, state)
         for name, state in states.items():
             self.campaign(name).restore_state(state)
 

@@ -81,9 +81,8 @@ class AtlasPlatform:
         self._recorder = resolve_recorder(recorder)
         with self._recorder.span(f"measure.{ATLAS_CAMPAIGN}"):
             self.vantage_points = self._place_vps(vp_count)
-            scope = (faults.campaign(ATLAS_CAMPAIGN)
-                     if faults is not None else None)
-            if scope is not None and scope.active(FaultKind.VANTAGE_CHURN):
+            scope = (faults or FaultContext.null()).campaign(ATLAS_CAMPAIGN)
+            if scope.active(FaultKind.VANTAGE_CHURN):
                 alive = scope.survive_mask(FaultKind.VANTAGE_CHURN,
                                            len(self.vantage_points))
                 self.vantage_points = [

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import MeasurementError
-from ..faults import FaultContext, FaultKind
+from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..net.prefixes import PrefixTable
 from ..obs.recorder import Recorder, resolve_recorder
 from ..par import CampaignExecutor, ShardPlan, ShardStreams
@@ -126,11 +126,6 @@ class TimedProbingResult:
         columns = np.isin(self.prefix_ids, np.asarray(pids, dtype=int))
         return self.hits_by_hour[:, columns].sum(axis=1)
 
-    def peak_hour_for(self, pids: np.ndarray) -> float:
-        """Probe hour (UTC) with the most hits for a prefix subset."""
-        profile = self.hourly_profile_for(pids)
-        return float(self.probe_hours_utc[int(np.argmax(profile))])
-
 
 class TimedCacheProbing:
     """Time-sliced probing: one round per hour slot, around the clock.
@@ -175,25 +170,21 @@ class TimedCacheProbing:
             probes_per_slot=self._rounds * len(sids))
 
 
-def _probe_shard(campaign: "CacheProbingCampaign",
-                 shard: int) -> Tuple[np.ndarray, np.ndarray, int, int,
-                                      Optional[Dict]]:
+def _probe_shard(campaign: "CacheProbingCampaign", shard: int,
+                 scope: CampaignFaultScope
+                 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """One prefix block of the probing sweep (runs in-process or in a
     pool worker). Pure function of (campaign inputs, shard index)."""
     lo, hi = campaign._shard_plan.bounds(shard)
     pids = campaign._prefix_ids[lo:hi]
     rng = campaign._streams.stream(shard)
-    scope = None
-    if campaign._faults is not None:
-        ctx = campaign._faults.shard_context(ShardStreams.label(shard))
-        scope = ctx.campaign(CACHE_PROBING_CAMPAIGN)
-    if scope is not None and scope.active(FaultKind.RESOLVER_TIMEOUT):
+    if scope.active(FaultKind.RESOLVER_TIMEOUT):
         answered = scope.survive_mask(FaultKind.RESOLVER_TIMEOUT, len(pids))
         pids = pids[answered]
     probabilities = campaign._oracle.hit_probability_matrix(
         campaign._sids, pids)
     probes_sent = campaign._rounds * int(np.prod(probabilities.shape))
-    if scope is not None and scope.active(FaultKind.PROBE_LOSS):
+    if scope.active(FaultKind.PROBE_LOSS):
         delivered = scope.thin_rounds(FaultKind.PROBE_LOSS,
                                       campaign._rounds,
                                       probabilities.shape)
@@ -202,8 +193,7 @@ def _probe_shard(campaign: "CacheProbingCampaign",
     else:
         delivered_total = probes_sent
         hits = rng.binomial(campaign._rounds, probabilities)
-    state = scope.export_state() if scope is not None else None
-    return pids, hits, probes_sent, delivered_total, state
+    return pids, hits, probes_sent, delivered_total
 
 
 class CacheProbingCampaign:
@@ -239,7 +229,7 @@ class CacheProbingCampaign:
         self._sids = [s.sid for s in services]
         self._prefix_ids = np.asarray(prefix_ids, dtype=int)
         self._rounds = rounds_per_day
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
         self._streams = streams
         self._executor = executor
@@ -254,21 +244,18 @@ class CacheProbingCampaign:
     def _run(self) -> CacheProbingResult:
         rec = self._recorder
         executor = self._executor or CampaignExecutor(recorder=rec)
-        shards = executor.run(_probe_shard, self, self._shard_plan.n_shards,
-                              CACHE_PROBING_CAMPAIGN)
-        scope = (self._faults.campaign(CACHE_PROBING_CAMPAIGN)
-                 if self._faults is not None else None)
+        shards = executor.run_campaign(
+            _probe_shard, self, self._shard_plan.n_shards,
+            CACHE_PROBING_CAMPAIGN, self._faults)
         probes_sent = 0
         delivered_total = 0
         pid_parts: List[np.ndarray] = []
         hit_parts: List[np.ndarray] = []
-        for pids, hits, sent, delivered, state in shards:
+        for pids, hits, sent, delivered in shards:
             pid_parts.append(pids)
             hit_parts.append(hits)
             probes_sent += sent
             delivered_total += delivered
-            if scope is not None and state is not None:
-                scope.merge_state(state)
         pids = np.concatenate(pid_parts)
         if pids.size == 0:
             raise MeasurementError(

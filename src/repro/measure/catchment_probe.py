@@ -23,7 +23,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import MeasurementError
-from ..faults import FaultContext, FaultKind
+from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..net.prefixes import PrefixTable
 from ..obs.recorder import Recorder, resolve_recorder
 from ..par import CampaignExecutor, ShardPlan, ShardStreams
@@ -80,24 +80,20 @@ def _site_lookup(model: AnycastModel, asns: np.ndarray) -> np.ndarray:
 
 def _catchment_shard(payload: Tuple["VerfploeterCampaign", np.ndarray,
                                     ShardPlan],
-                     shard: int) -> Tuple[np.ndarray, int, Optional[Dict]]:
+                     shard: int, scope: CampaignFaultScope
+                     ) -> Tuple[np.ndarray, int]:
     """Probe one block of sorted targets."""
     campaign, targets, plan = payload
     lo, hi = plan.bounds(shard)
     block = targets[lo:hi]
     rng = campaign._streams.stream(shard)
     responds = rng.random(len(block)) < campaign._response_rate
-    scope = None
-    if campaign._faults is not None:
-        ctx = campaign._faults.shard_context(ShardStreams.label(shard))
-        scope = ctx.campaign(CATCHMENT_CAMPAIGN)
-    if scope is not None and scope.active(FaultKind.PROBE_LOSS):
+    if scope.active(FaultKind.PROBE_LOSS):
         responds &= scope.survive_mask(FaultKind.PROBE_LOSS, len(block))
     mapped = _site_lookup(campaign._model,
                           campaign._prefixes.asn_array[block])
     sites = np.where(responds, mapped, -1).astype(np.int32)
-    state = scope.export_state() if scope is not None else None
-    return sites, int(responds.sum()), state
+    return sites, int(responds.sum())
 
 
 class VerfploeterCampaign:
@@ -124,7 +120,7 @@ class VerfploeterCampaign:
         self._model = model
         self._prefixes = prefix_table
         self._response_rate = response_rate
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
         self._streams = streams
         self._executor = executor
@@ -140,16 +136,11 @@ class VerfploeterCampaign:
         rec = self._recorder
         plan = ShardPlan(len(targets), CATCHMENT_SHARD_SIZE)
         executor = self._executor or CampaignExecutor(recorder=rec)
-        shards = executor.run(_catchment_shard, (self, targets, plan),
-                              plan.n_shards, CATCHMENT_CAMPAIGN)
-        scope = (self._faults.campaign(CATCHMENT_CAMPAIGN)
-                 if self._faults is not None else None)
-        replies = 0
-        for _, shard_replies, state in shards:
-            replies += shard_replies
-            if scope is not None and state is not None:
-                scope.merge_state(state)
-        sites = np.concatenate([part for part, _, _ in shards])
+        shards = executor.run_campaign(
+            _catchment_shard, (self, targets, plan), plan.n_shards,
+            CATCHMENT_CAMPAIGN, self._faults)
+        replies = sum(shard_replies for _, shard_replies in shards)
+        sites = np.concatenate([part for part, _ in shards])
         rec.count(f"measure.{CATCHMENT_CAMPAIGN}.probes_sent",
                   len(targets))
         rec.count(f"measure.{CATCHMENT_CAMPAIGN}.replies_received",

@@ -59,7 +59,7 @@ class CloudVantageCampaign:
                  recorder: Optional[Recorder] = None) -> None:
         self._bgp = bgp
         self._cloud = cloud_asn
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
 
     def run(self, target_asns: Sequence[int]) -> CloudVantageResult:
@@ -73,9 +73,8 @@ class CloudVantageCampaign:
         reached = 0
         remotes = [dst for dst in target_asns if dst != self._cloud]
         paths = self._bgp.paths_from(self._cloud, remotes)
-        scope = (self._faults.campaign(CLOUD_VANTAGE_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.PROBE_LOSS):
+        scope = self._faults.campaign(CLOUD_VANTAGE_CAMPAIGN)
+        if scope.active(FaultKind.PROBE_LOSS):
             # Traceroutes whose probes are lost end-to-end reveal nothing.
             delivered = scope.survive_mask(FaultKind.PROBE_LOSS,
                                            len(remotes))

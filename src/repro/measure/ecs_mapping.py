@@ -21,10 +21,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import MeasurementError
-from ..faults import FaultContext, FaultKind
+from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..net.prefixes import PrefixTable
 from ..obs.recorder import Recorder, resolve_recorder
-from ..par import CampaignExecutor, ShardPlan, ShardStreams
+from ..par import CampaignExecutor, ShardPlan
 from ..services.catalog import Service, ServiceCatalog
 from ..services.dnsinfra import AuthoritativeDns
 from ..services.hypergiants import RedirectionScheme
@@ -76,25 +76,21 @@ class EcsMappingResult:
 
 def _ecs_shard(payload: Tuple["EcsMapper", np.ndarray, List[Service],
                               ShardPlan],
-               shard: int) -> Tuple[Dict[str, np.ndarray], Optional[Dict]]:
+               shard: int, scope: CampaignFaultScope
+               ) -> Dict[str, np.ndarray]:
     """Map one client-prefix block against every covered service."""
     mapper, client_pids, services, plan = payload
     lo, hi = plan.bounds(shard)
     pids = client_pids[lo:hi]
-    scope = None
-    if mapper._faults is not None:
-        ctx = mapper._faults.shard_context(ShardStreams.label(shard))
-        scope = ctx.campaign(ECS_MAPPING_CAMPAIGN)
     answers: Dict[str, np.ndarray] = {}
     for service in services:
         batch = mapper._auth.resolve_ecs_batch(service.key, pids)
-        if scope is not None and scope.active(FaultKind.ECS_RATE_LIMIT):
+        if scope.active(FaultKind.ECS_RATE_LIMIT):
             answered = scope.survive_mask(FaultKind.ECS_RATE_LIMIT,
                                           len(batch))
             batch = np.where(answered, batch, -1)
         answers[service.key] = batch
-    state = scope.export_state() if scope is not None else None
-    return answers, state
+    return answers
 
 
 class EcsMapper:
@@ -120,7 +116,7 @@ class EcsMapper:
         self._auth = authoritative
         self._catalog = catalog
         self._prefixes = prefix_table
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
         self._executor = executor
 
@@ -149,16 +145,12 @@ class EcsMapper:
         if covered:
             plan = ShardPlan(len(pids), ECS_SHARD_SIZE)
             executor = self._executor or CampaignExecutor(recorder=rec)
-            shards = executor.run(_ecs_shard, (self, pids, covered, plan),
-                                  plan.n_shards, ECS_MAPPING_CAMPAIGN)
-            scope = (self._faults.campaign(ECS_MAPPING_CAMPAIGN)
-                     if self._faults is not None else None)
-            for _, state in shards:
-                if scope is not None and state is not None:
-                    scope.merge_state(state)
+            shards = executor.run_campaign(
+                _ecs_shard, (self, pids, covered, plan), plan.n_shards,
+                ECS_MAPPING_CAMPAIGN, self._faults)
             for service in covered:
                 answers = np.concatenate(
-                    [part[service.key] for part, _ in shards]) \
+                    [part[service.key] for part in shards]) \
                     if shards else np.empty(0, dtype=np.int64)
                 per_service[service.key] = ServiceMappingResult(
                     service_key=service.key,

@@ -128,16 +128,15 @@ class IpIdMonitor:
         self._duration = duration_hours * 3600
         self._rng = rng
         self._loss = loss_probability
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
 
     def monitor(self, router: RouterInterface,
                 start_time: float = 0.0) -> IpIdSeries:
         times = np.arange(start_time, start_time + self._duration,
                           self._interval, dtype=float)
-        scope = (self._faults.campaign(IPID_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.PROBE_LOSS):
+        scope = self._faults.campaign(IPID_CAMPAIGN)
+        if scope.active(FaultKind.PROBE_LOSS):
             delivered = scope.survive_mask(FaultKind.PROBE_LOSS,
                                            len(times))
         else:

@@ -56,9 +56,6 @@ class ResolverAssociation:
     def clients_of(self, resolver_id: int) -> Dict[int, float]:
         return dict(self.weights.get(resolver_id, {}))
 
-    def resolver_count(self) -> int:
-        return len(self.weights)
-
 
 class PageMeasurementCampaign:
     """Samples page views to learn resolver-client associations.
@@ -84,7 +81,7 @@ class PageMeasurementCampaign:
         self._gdns = gdns
         self._probabilities = np.asarray(view_weights, dtype=float) / total
         self._rng = rng
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
 
     def run(self, sample_size: int = 50_000) -> ResolverAssociation:
@@ -98,9 +95,8 @@ class PageMeasurementCampaign:
                                 p=self._probabilities)
         use_gdns = self._rng.random(sample_size) < \
             self._gdns.gdns_share[pids]
-        scope = (self._faults.campaign(RESOLVER_ASSOC_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.RESOLVER_TIMEOUT):
+        scope = self._faults.campaign(RESOLVER_ASSOC_CAMPAIGN)
+        if scope.active(FaultKind.RESOLVER_TIMEOUT):
             # The DNS side of a sampled view timing out loses the pair:
             # the platform never sees which resolver fetched the hostname.
             observed = scope.survive_mask(FaultKind.RESOLVER_TIMEOUT,

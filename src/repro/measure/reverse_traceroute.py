@@ -58,18 +58,13 @@ class ReverseTraceroute:
                  faults: Optional[FaultContext] = None,
                  recorder: Optional[Recorder] = None) -> None:
         self._bgp = bgp
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
-
-    def _scope(self):
-        if self._faults is None:
-            return None
-        return self._faults.campaign(REVERSE_TRACEROUTE_CAMPAIGN)
 
     def measure(self, vp: VantagePoint, remote_asn: int) -> PathPair:
         """Both directions between the VP's AS and a remote AS."""
-        scope = self._scope()
-        if scope is not None and scope.active(FaultKind.PROBE_LOSS) \
+        scope = self._faults.campaign(REVERSE_TRACEROUTE_CAMPAIGN)
+        if scope.active(FaultKind.PROBE_LOSS) \
                 and not scope.survive(FaultKind.PROBE_LOSS):
             # Record-route probes never came back; the pair is
             # unmeasurable, like a filtered reverse hop in reality.
@@ -91,8 +86,8 @@ class ReverseTraceroute:
             remotes = [asn for asn in remote_asns if asn != vp.asn]
             forward = self._bgp.paths_from(vp.asn, remotes)
             reverse = self._bgp.routes_to([vp.asn]).paths_for(remotes)
-            scope = self._scope()
-            if scope is not None and scope.active(FaultKind.PROBE_LOSS):
+            scope = self._faults.campaign(REVERSE_TRACEROUTE_CAMPAIGN)
+            if scope.active(FaultKind.PROBE_LOSS):
                 measured = scope.survive_mask(FaultKind.PROBE_LOSS,
                                               len(remotes))
                 pairs = [PathPair(vp_asn=vp.asn, remote_asn=asn,

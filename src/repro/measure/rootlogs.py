@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import MeasurementError
-from ..faults import FaultContext, FaultKind
+from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..obs.recorder import Recorder, resolve_recorder
-from ..par import CampaignExecutor, ShardStreams
+from ..par import CampaignExecutor
 from ..services.dnsinfra import RootLogArchive
 
 ROOTLOG_CAMPAIGN = "root-logs"
@@ -71,21 +71,17 @@ class RootLogCrawlResult:
         return {asn: vol / total for asn, vol in detected.items()}
 
 
-def _crawl_shard(payload: Tuple["RootLogCrawler", List[str]],
-                 shard: int) -> Tuple[Dict[int, float], float, bool,
-                                      Optional[Dict]]:
+def _crawl_shard(payload: Tuple["RootLogCrawler", List[str]], shard: int,
+                 scope: CampaignFaultScope
+                 ) -> Tuple[Dict[int, float], float, bool]:
     """Crawl one usable root's log (one root per shard)."""
     crawler, letters = payload
     letter = letters[shard]
-    scope = None
-    if crawler._faults is not None:
-        ctx = crawler._faults.shard_context(ShardStreams.label(shard))
-        scope = ctx.campaign(ROOTLOG_CAMPAIGN)
-    if scope is not None and scope.active(FaultKind.ROOTLOG_TRUNCATION) \
+    if scope.active(FaultKind.ROOTLOG_TRUNCATION) \
             and not scope.survive(FaultKind.ROOTLOG_TRUNCATION):
         # This root's feed is truncated for the whole crawl window;
         # re-fetches (retries) already failed.
-        return {}, 0.0, True, scope.export_state()
+        return {}, 0.0, True
     volume: Dict[int, float] = {}
     public_volume = 0.0
     for entry in crawler._archive.entries_for(letter):
@@ -96,8 +92,7 @@ def _crawl_shard(payload: Tuple["RootLogCrawler", List[str]],
             continue
         volume[entry.resolver_asn] = (
             volume.get(entry.resolver_asn, 0.0) + entry.query_count)
-    state = scope.export_state() if scope is not None else None
-    return volume, public_volume, False, state
+    return volume, public_volume, False
 
 
 class RootLogCrawler:
@@ -119,7 +114,7 @@ class RootLogCrawler:
             raise MeasurementError("threshold must be non-negative")
         self._archive = archive
         self._threshold = min_query_threshold
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
         self._executor = executor
 
@@ -132,15 +127,14 @@ class RootLogCrawler:
                    if root.logs_usable]
         rec = self._recorder
         executor = self._executor or CampaignExecutor(recorder=rec)
-        shards = executor.run(_crawl_shard, (self, letters), len(letters),
-                              ROOTLOG_CAMPAIGN)
-        scope = (self._faults.campaign(ROOTLOG_CAMPAIGN)
-                 if self._faults is not None else None)
+        shards = executor.run_campaign(_crawl_shard, (self, letters),
+                                       len(letters), ROOTLOG_CAMPAIGN,
+                                       self._faults)
         volume: Dict[int, float] = {}
         public_volume = 0.0
         crawled = 0
         truncated = 0
-        for root_volume, root_public, was_truncated, state in shards:
+        for root_volume, root_public, was_truncated in shards:
             if was_truncated:
                 truncated += 1
             else:
@@ -148,8 +142,6 @@ class RootLogCrawler:
                 public_volume += root_public
                 for asn, count in root_volume.items():
                     volume[asn] = volume.get(asn, 0.0) + count
-            if scope is not None and state is not None:
-                scope.merge_state(state)
         rec.count(f"measure.{ROOTLOG_CAMPAIGN}.roots_crawled", crawled)
         rec.count(f"measure.{ROOTLOG_CAMPAIGN}.roots_truncated", truncated)
         rec.count(f"measure.{ROOTLOG_CAMPAIGN}.resolver_ases_seen",

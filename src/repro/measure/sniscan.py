@@ -61,7 +61,7 @@ class SniScanner:
                  recorder: Optional[Recorder] = None) -> None:
         self._certstore = certstore
         self._prefixes = prefix_table
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
 
     def run(self, domains: Sequence[str],
@@ -74,9 +74,8 @@ class SniScanner:
         if not domains:
             raise MeasurementError("no SNI hostnames given")
         candidates = sorted(set(int(p) for p in candidate_prefixes))
-        scope = (self._faults.campaign(SNI_SCAN_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.SNI_RATE_LIMIT):
+        scope = self._faults.campaign(SNI_SCAN_CAMPAIGN)
+        if scope.active(FaultKind.SNI_RATE_LIMIT):
             reachable = scope.survive_mask(FaultKind.SNI_RATE_LIMIT,
                                            len(candidates))
             candidates = [pid for pid, ok in zip(candidates, reachable)

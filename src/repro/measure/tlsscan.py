@@ -95,7 +95,7 @@ class TlsScanner:
         self._certstore = certstore
         self._prefixes = prefix_table
         self._min_footprint = min_footprint_prefixes
-        self._faults = faults
+        self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
 
     def run(self, prefix_ids: Optional[np.ndarray] = None) -> TlsScanResult:
@@ -108,9 +108,8 @@ class TlsScanner:
             pids = range(len(self._prefixes))
         else:
             pids = [int(p) for p in prefix_ids]
-        scope = (self._faults.campaign(TLS_SCAN_CAMPAIGN)
-                 if self._faults is not None else None)
-        if scope is not None and scope.active(FaultKind.VANTAGE_CHURN):
+        scope = self._faults.campaign(TLS_SCAN_CAMPAIGN)
+        if scope.active(FaultKind.VANTAGE_CHURN):
             pids = list(pids)
             scanned = scope.survive_mask(FaultKind.VANTAGE_CHURN,
                                          len(pids))

@@ -121,9 +121,6 @@ class PrefixTable:
         mask = np.isin(arr, np.asarray([int(k) for k in kinds], dtype=np.int8))
         return np.flatnonzero(mask)
 
-    def ases_with_prefixes(self) -> List[int]:
-        return list(self._by_as.keys())
-
     # -- numpy views -----------------------------------------------------------------
 
     def _require_frozen(self) -> None:

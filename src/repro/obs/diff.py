@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ValidationError
-from .manifest import RunManifest
+from .manifest import SERVE_SECTION_FIELDS, RunManifest
 
 #: Finding severities, in escalation order.
 STATUS_OK = "ok"
@@ -474,14 +474,14 @@ def _serve_fraction(section: Dict[str, object], numerator: str,
     return float(admit.get(numerator, 0) or 0) / total if total else 0.0
 
 
-#: Serve incident counters: (subsection, field, severity when increased).
-_SERVE_INCIDENT_FIELDS = (
-    ("http", "timeouts", STATUS_WARN),
-    ("http", "client_disconnects", STATUS_WARN),
-    ("watch", "errors", STATUS_WARN),
-    ("watch", "circuit_open", STATUS_REGRESSION),
-    ("watch", "circuit_close", STATUS_WARN),
-)
+#: Serve incident counters: (subsection, field, severity when increased)
+#: for every non-admission field of the serve section; an opened
+#: circuit is the one regression.
+_SERVE_INCIDENT_FIELDS = tuple(
+    (sub, name,
+     STATUS_REGRESSION if name == "circuit_open" else STATUS_WARN)
+    for sub, fields in SERVE_SECTION_FIELDS.items() if sub != "admit"
+    for name in fields)
 
 
 def _diff_serve(old: RunManifest, new: RunManifest, t: DiffThresholds,

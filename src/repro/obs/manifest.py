@@ -423,7 +423,9 @@ def _validate_delta(errors: List[str],
                       "digests")
 
 
-_SERVE_SECTION_FIELDS = {
+#: The serve section's counter subsections, in section order; each
+#: field is the recorder counter ``serve.<subsection>.<field>``.
+SERVE_SECTION_FIELDS = {
     "admit": ("offered", "admitted", "shed", "deadline_expired"),
     "http": ("timeouts", "client_disconnects"),
     "watch": ("errors", "circuit_open", "circuit_close"),
@@ -436,7 +438,7 @@ def _validate_serve(errors: List[str],
     if not isinstance(section, dict):
         errors.append("serve must be an object or null")
         return
-    for name, fields in _SERVE_SECTION_FIELDS.items():
+    for name, fields in SERVE_SECTION_FIELDS.items():
         sub = section.get(name)
         if not isinstance(sub, dict):
             errors.append(f"serve.{name} must be an object")
@@ -449,7 +451,7 @@ def _validate_serve(errors: List[str],
     admit = section.get("admit")
     if isinstance(admit, dict) and all(
             isinstance(admit.get(f), int)
-            for f in _SERVE_SECTION_FIELDS["admit"]):
+            for f in SERVE_SECTION_FIELDS["admit"]):
         _check(errors,
                admit["offered"] == admit["admitted"] + admit["shed"],
                "serve.admit: offered != admitted + shed "
@@ -541,13 +543,13 @@ def _validate_serve_latency(errors: List[str], latency: object) -> None:
 
 
 def validate_manifest(payload: Dict[str, object]) -> None:
-    """Check a manifest dict against the format-1..5 schema.
+    """Check a manifest dict against the current format's schema.
 
     Raises :class:`ValidationError` listing every violation found:
     missing/ill-typed fields, malformed stage entries, broken counter
     invariants (``units == delivered + giveups``, coverages outside
-    ``[0, 1]``), and — for format 2 — an inconsistent checkpoint-lineage
-    section (``reused + recomputed != stages_total``).
+    ``[0, 1]``), and an inconsistent checkpoint-lineage section
+    (``reused + recomputed != stages_total``).
     """
     errors: List[str] = []
     _check(errors, isinstance(payload, dict), "manifest must be an object")

@@ -23,7 +23,10 @@ makes parallel builds bit-identical to serial ones:
 it executes the shard function inline in shard order — the serial build
 is literally the parallel build with a trivial schedule, which is why
 ``MapBuilder(..., workers=N)`` is regression-locked bit-identical to the
-serial builder for any N.
+serial builder for any N. ``CampaignExecutor.run_campaign`` is ``run``
+plus the per-shard fault hand-off every sharded campaign needs: each
+shard gets its own fault scope, and the parent folds the shards' fault
+counters back in shard order.
 
 Worker payload transfer prefers the ``fork`` start method: the payload
 (scenario slices, oracles, fault plan) is published in a module global
@@ -37,14 +40,18 @@ from __future__ import annotations
 import multiprocessing as mp
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.recorder import Recorder, resolve_recorder
 from ..rand import substream
 
+if TYPE_CHECKING:
+    from ..faults import CampaignFaultScope, FaultContext
+
 ShardFn = Callable[[object, int], object]
+ScopedShardFn = Callable[[object, int, "CampaignFaultScope"], object]
 
 # Published in the parent right before the pool forks; inherited by the
 # children. Only used for the duration of one `run` call.
@@ -61,6 +68,20 @@ def _run_chunk(chunk: Sequence[int]) -> List[object]:
     """Execute one chunk of shard indices in a worker process."""
     fn, payload = _JOB  # type: ignore[misc]
     return [fn(payload, int(idx)) for idx in chunk]
+
+
+def _run_scoped(job: Tuple[ScopedShardFn, object, "FaultContext", str],
+                shard: int) -> Tuple[object, dict]:
+    """Run one shard of a campaign under its own fault scope.
+
+    The scope lives on a :meth:`FaultContext.shard_context` clone, so
+    its draws bind to the shard label, not to scheduling; its exported
+    state travels back beside the shard's value.
+    """
+    fn, payload, faults, campaign = job
+    scope = faults.shard_context(ShardStreams.label(shard)).campaign(
+        campaign)
+    return fn(payload, shard, scope), scope.export_state()
 
 
 @dataclass(frozen=True)
@@ -160,6 +181,26 @@ class CampaignExecutor:
         with rec.span(f"par.{label}"):
             chunked = self._run_pool(fn, payload, chunks)
         return [result for chunk in chunked for result in chunk]
+
+    def run_campaign(self, fn: ScopedShardFn, payload: object,
+                     n_shards: int, campaign: str,
+                     faults: "FaultContext") -> List[object]:
+        """Run ``fn(payload, shard, scope)`` for every shard of one
+        fault-scoped campaign; ordered results.
+
+        Each shard's ``scope`` is the ``campaign`` scope of its own
+        shard-labelled clone of ``faults``. The parent merges the
+        shards' exported scope states into ``faults.campaign(campaign)``
+        in shard order, so fault counters (and their recorder mirror)
+        are identical for any worker count. Runs under the ``campaign``
+        label, like :meth:`run`.
+        """
+        shards = self.run(_run_scoped, (fn, payload, faults, campaign),
+                          n_shards, campaign)
+        scope = faults.campaign(campaign)
+        for _, state in shards:
+            scope.merge_state(state)
+        return [value for value, _ in shards]
 
     # -- internals --------------------------------------------------------
 

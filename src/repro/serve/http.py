@@ -62,21 +62,19 @@ class QueryServer(ThreadingHTTPServer):
     block_on_close = True
 
     def __init__(self, address, service: MapService,
-                 quiet: bool = True,
                  request_timeout: float = 10.0) -> None:
         super().__init__(address, _Handler)
         self.service = service
-        self.quiet = quiet
         self.request_timeout = float(request_timeout)
 
 
 def serve_http(service: MapService, host: str = "127.0.0.1",
-               port: int = 0, quiet: bool = True,
+               port: int = 0,
                request_timeout: float = 10.0) -> QueryServer:
     """Bind a :class:`QueryServer` (``port=0`` picks a free port; the
     bound port is ``server.server_port``). The caller drives it with
     ``serve_forever()`` or ``handle_request()``."""
-    return QueryServer((host, port), service, quiet=quiet,
+    return QueryServer((host, port), service,
                        request_timeout=request_timeout)
 
 
@@ -98,15 +96,15 @@ class _Handler(BaseHTTPRequestHandler):
         super().setup()
 
     def log_message(self, fmt, *args):  # noqa: D102 - stdlib override
-        if not self.server.quiet:
-            super().log_message(fmt, *args)
+        # Silent: MapService.handle observes every request (telemetry
+        # and access log), so the stdlib's stderr lines add nothing.
+        pass
 
     def log_error(self, fmt, *args):  # noqa: D102 - stdlib override
         # handle_one_request swallows socket timeouts after logging
         # them here; count the abort instead of dropping it silently.
         if args and isinstance(args[0], TimeoutError):
             self.server.service._recorder.count("serve.http.timeouts")
-        self.log_message(fmt, *args)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         service: MapService = self.server.service

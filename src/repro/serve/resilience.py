@@ -32,6 +32,7 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
+from ..obs.manifest import SERVE_SECTION_FIELDS
 from ..obs.recorder import NULL_RECORDER, Recorder, resolve_recorder
 from .service import QueryError
 
@@ -341,12 +342,6 @@ class CircuitBreaker:
         with self._lock:
             return self._failures >= self.threshold
 
-    @property
-    def consecutive_failures(self) -> int:
-        """Failures since the last success."""
-        with self._lock:
-            return self._failures
-
     def record_failure(self) -> None:
         """One more consecutive failure; may open the circuit."""
         with self._lock:
@@ -402,22 +397,8 @@ def serve_manifest_section(recorder: Recorder,
                         for name in counters):
         return None
     section: Dict[str, Any] = {
-        "admit": {
-            "offered": take("serve.admit.offered"),
-            "admitted": take("serve.admit.admitted"),
-            "shed": take("serve.admit.shed"),
-            "deadline_expired": take("serve.admit.deadline_expired"),
-        },
-        "http": {
-            "timeouts": take("serve.http.timeouts"),
-            "client_disconnects": take("serve.http.client_disconnects"),
-        },
-        "watch": {
-            "errors": take("serve.watch.errors"),
-            "circuit_open": take("serve.watch.circuit_open"),
-            "circuit_close": take("serve.watch.circuit_close"),
-        },
-    }
+        sub: {name: take(f"serve.{sub}.{name}") for name in fields}
+        for sub, fields in SERVE_SECTION_FIELDS.items()}
     chaos = {name.split(".", 2)[2]: int(value)
              for name, value in sorted(counters.items())
              if name.startswith("serve.chaos.")}

@@ -173,7 +173,6 @@ class MapService:
                  recorder: Optional[Recorder] = None,
                  cache_entries: int = 4096,
                  gate=None, chaos=None,
-                 max_cdf_batch: int = MAX_CDF_BATCH,
                  telemetry: Optional[LiveTelemetry] = None) -> None:
         self._lock = threading.RLock()
         self._store = store
@@ -186,7 +185,6 @@ class MapService:
         # never imports the modules that build on top of it.
         self.gate = gate
         self.chaos = chaos
-        self.max_cdf_batch = int(max_cdf_batch)
         # Live telemetry (latency histograms, rolling window, access
         # log, request ids).  Always present so callers never branch;
         # observation never steers, so a default instance costs a few
@@ -486,10 +484,10 @@ class MapService:
                   weighted: Optional[bool]) -> bytes:
         if not asns:
             raise QueryError(400, "no target AS given")
-        if len(asns) > self.max_cdf_batch:
+        if len(asns) > MAX_CDF_BATCH:
             raise QueryError(
                 400, f"batch of {len(asns)} targets exceeds the "
-                     f"limit of {self.max_cdf_batch}")
+                     f"limit of {MAX_CDF_BATCH}")
         fragments = [self._answer(store, "cdf", (int(asn), weighted),
                                   lambda a=int(asn): _compute_cdf(
                                       store, a, weighted))

@@ -50,10 +50,6 @@ class Service:
     redirection: RedirectionScheme
     dns_ttl: int
 
-    @property
-    def served_by_hypergiant(self) -> bool:
-        return self.host_key is not None
-
 
 # (key, owner, host, bytes_%, visits_weight, ecs, redirection)
 # The first 20 rows are the popularity top-20; 15 support ECS.
@@ -244,6 +240,3 @@ class ServiceCatalog:
     def custom_url_services(self) -> List[Service]:
         return [s for s in self._services
                 if s.redirection is RedirectionScheme.CUSTOM_URL]
-
-    def ecs_services(self) -> List[Service]:
-        return [s for s in self._services if s.ecs_supported]

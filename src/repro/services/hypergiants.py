@@ -55,10 +55,6 @@ class HypergiantSpec:
     uses_anycast: bool             # serves over anycast prefixes
     cert_org: str                  # organisation string on its TLS certs
 
-    @property
-    def has_offnets(self) -> bool:
-        return self.offnet_reach is not OffnetReach.NONE
-
 
 _SPECS: Tuple[HypergiantSpec, ...] = (
     HypergiantSpec("googol", "Googol", True, True, OffnetReach.MAJOR,

@@ -55,12 +55,6 @@ class TemporalTraffic:
         return (base / SECONDS_PER_DAY) * self.activity_multiplier_at(
             t_seconds)
 
-    def bytes_rate_at(self, t_seconds: float) -> np.ndarray:
-        """Instantaneous relative byte rate per prefix at time t."""
-        base = self.matrix.bytes_per_prefix()
-        return (base / SECONDS_PER_DAY) * self.activity_multiplier_at(
-            t_seconds)
-
     def peak_utc_hour_for_prefix(self, pid: int) -> float:
         """UTC hour at which the prefix's local activity peaks."""
         if not 0 <= pid < len(self.utc_offsets):

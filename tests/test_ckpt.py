@@ -192,14 +192,19 @@ class TestResume:
             assert rewritten.read_bytes().split(BODY_MARKER, 1)[1] == body, \
                 stage
 
-    @pytest.mark.parametrize("payload", [
-        {"tampered": True},                                 # missing key
-        {"Evil": {}},                                       # unknown class
-        {"dtype": "|O", "shape": [1], "offset": 0},         # object dtype
-        {"dtype": "<i8", "shape": [1 << 30], "offset": 0},  # past blob end
-    ], ids=["missing-key", "unknown-class", "object-dtype", "past-blob-end"])
+    @pytest.mark.parametrize("tamper", [
+        {"payload": {"tampered": True}},                    # missing key
+        {"payload": {"Evil": {}}},                          # unknown class
+        {"payload": {"dtype": "|O", "shape": [1],           # object dtype
+                     "offset": 0}},
+        {"payload": {"dtype": "<i8", "shape": [1 << 30],    # past blob end
+                     "offset": 0}},
+        {"scopes": {"cache-probing": 1}},                   # bad scope state
+        {"notes": {"users": 5}},                            # bad note list
+    ], ids=["missing-key", "unknown-class", "object-dtype", "past-blob-end",
+            "bad-scope-state", "bad-note-list"])
     def test_undecodable_snapshot_quarantined_and_recomputed(
-            self, small_scenario, fresh_json, tmp_path, payload):
+            self, small_scenario, fresh_json, tmp_path, tamper):
         """A snapshot that verifies but does not decode is never trusted:
         quarantined, reason recorded, stage recomputed."""
         ckpt = tmp_path / "ckpt"
@@ -208,8 +213,10 @@ class TestResume:
         [path] = (ckpt / "snapshots").glob("services.*.json")
         store, inputs = store_for(path, ckpt)
         snapshot = store.load("services", None, inputs)
-        store.save("services", payload, snapshot.scopes, snapshot.notes,
-                   inputs)
+        body = {"payload": snapshot.payload, "scopes": snapshot.scopes,
+                "notes": snapshot.notes, **tamper}
+        store.save("services", body["payload"], body["scopes"],
+                   body["notes"], inputs)
 
         builder = MapBuilder(small_scenario, options=OPTS, faults=PLAN,
                              checkpoint_dir=ckpt, resume=True)

@@ -14,12 +14,18 @@ with hypothesis:
 from __future__ import annotations
 
 import multiprocessing
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.faults import FaultContext, FaultKind, FaultPlan
 from repro.obs import Recorder
 from repro.par import CampaignExecutor, ShardPlan, ShardStreams
+
+MEASURE = Path(__file__).resolve().parent.parent / "src" / "repro" / \
+    "measure"
 
 
 def _square(payload: int, shard: int) -> int:
@@ -32,6 +38,11 @@ def _draw(payload, shard: int) -> float:
     substream — the shape every sharded campaign reduces to."""
     streams = payload
     return float(streams.stream(shard).random())
+
+
+def _lossy(payload: int, shard: int, scope) -> int:
+    """Scoped shard fn: how many of ``payload`` probes survive loss."""
+    return int(scope.survive_mask(FaultKind.PROBE_LOSS, payload).sum())
 
 
 def _boom(payload, shard: int):
@@ -95,6 +106,37 @@ class TestCampaignExecutor:
     def test_pool_reaped_after_clean_run(self):
         CampaignExecutor(2).run(_square, 0, 6, "t")
         assert multiprocessing.active_children() == []
+
+
+class TestRunCampaign:
+    def _run(self, workers: int):
+        faults = FaultContext(FaultPlan(seed=7, probe_loss=0.3))
+        rec = Recorder()
+        faults.attach_recorder(rec)
+        values = CampaignExecutor(workers).run_campaign(
+            _lossy, 50, 6, "lossy", faults)
+        return values, faults.campaign("lossy").export_state(), rec
+
+    def test_inline_and_parallel_merge_identical_scopes(self):
+        values, state, rec = self._run(1)
+        assert (values, state) == self._run(3)[:2]
+        assert state["counters"]["units"] == 6 * 50
+        assert sum(values) == 6 * 50 - state["counters"]["giveups"]
+        # Shard clones carry no recorder: the parent merge mirrors once.
+        assert rec.counters["faults.lossy.units"] == 6 * 50
+
+    def test_measure_modules_leave_the_hand_off_to_the_executor(self):
+        """No campaign clones, exports or merges fault scopes itself,
+        and none keeps a separate no-faults path."""
+        banned = re.compile(
+            r"\b(shard_context|export_state|merge_state)\(|"
+            r"\b(faults|scope|_faults)\s+is\s+(not\s+)?None")
+        sites = [f"{path.name}:{number}"
+                 for path in sorted(MEASURE.glob("*.py"))
+                 for number, line in enumerate(
+                     path.read_text().splitlines(), 1)
+                 if banned.search(line)]
+        assert sites == []
 
 
 class TestShardStreamDisjointness:

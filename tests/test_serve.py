@@ -874,10 +874,8 @@ class TestCli:
         holder = {}
         original = serve_pkg.serve_http
 
-        def capture(service, host="127.0.0.1", port=0, quiet=True,
-                    **kwargs):
-            bound = original(service, host=host, port=port, quiet=quiet,
-                             **kwargs)
+        def capture(service, host="127.0.0.1", port=0, **kwargs):
+            bound = original(service, host=host, port=port, **kwargs)
             holder["server"] = bound
             return bound
 
