@@ -37,10 +37,10 @@ entries on the map, and — when a :class:`repro.obs.Recorder` is attached
 — in per-campaign counters and span timings for the run manifest.
 
 Snapshot reuse: constructed with a ``checkpoint_dir``, the builder
-snapshots each stage's output (see :data:`PRIMARY_STAGES` /
-:data:`AUX_STAGES`) through a :class:`repro.ckpt.CheckpointStore`,
-together with the stage's *input digest* — the substrate aspects it
-reads plus its upstream snapshots' digests (:mod:`repro.delta.digests`).
+snapshots each stage's output (see :data:`STAGES`) through a
+:class:`repro.ckpt.CheckpointStore`, together with the stage's *input
+digest* — the substrate aspects it reads plus its upstream snapshots'
+digests (:mod:`repro.delta.digests`).
 With reuse on (``resume=True`` or ``delta=True``; one rule for both) a
 stage loads its snapshot if and only if the snapshot verifies and its
 recorded input digest equals the stage's current one; otherwise it
@@ -62,7 +62,10 @@ from __future__ import annotations
 
 import copy
 import gc
+import itertools
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -108,20 +111,72 @@ from .traffic_map import (ComponentCoverage, InternetTrafficMap,
                           MappedSite, RoutesComponent, ServicesComponent,
                           UsersComponent)
 
-# Which campaigns feed which map component (coverage aggregation).
-USERS_CAMPAIGNS = (CACHE_PROBING_CAMPAIGN, ROOTLOG_CAMPAIGN)
-SERVICES_CAMPAIGNS = (TLS_SCAN_CAMPAIGN, SNI_SCAN_CAMPAIGN,
-                      ECS_MAPPING_CAMPAIGN, CATCHMENT_CAMPAIGN)
-ROUTES_CAMPAIGNS = (COLLECTOR_FEED_CAMPAIGN,)
 
-# Checkpoint stage boundaries, in execution order. Each name doubles as
-# the ``crash_at`` target of a fault plan and the key of a
-# repro.ckpt snapshot; repro.core.serialize registers a payload codec
-# per stage under the same name.
-PRIMARY_STAGES = ("cache-probing", "root-logs", "users", "services",
-                  "routes")
-AUX_STAGES = ("aux-atlas", "aux-reverse-traceroute", "aux-cloud-vantage",
-              "aux-ipid", "aux-resolver-assoc")
+@dataclass(frozen=True)
+class Stage:
+    """One checkpoint stage, named as a ``crash_at`` target and a
+    repro.ckpt snapshot key. It reads the substrate ``aspects`` and its
+    ``upstream`` stages' outputs (its input digest,
+    :func:`repro.delta.digests.stage_input_digest`); it writes the fault
+    scopes of its ``campaigns`` and the note list of its ``component``
+    (also the span it runs under), which its snapshot carries."""
+
+    name: str
+    component: str
+    aspects: Tuple[str, ...]
+    upstream: Tuple[str, ...]
+    campaigns: Tuple[str, ...]
+
+
+#: Every checkpoint stage, in execution order.
+STAGES: Tuple[Stage, ...] = (
+    # Cache probing reads the GDNS cache oracle (calibrated from the
+    # traffic matrix over the user-prefix set).
+    Stage("cache-probing", "users", ("activity", "population"), (),
+          (CACHE_PROBING_CAMPAIGN,)),
+    # The root-log archive derives from per-prefix user counts.
+    Stage("root-logs", "users", ("population",), (), (ROOTLOG_CAMPAIGN,)),
+    # Fusion is a pure function of the two §3.1.2 stage outputs.
+    Stage("users", "users", (), ("cache-probing", "root-logs"), ()),
+    # TLS/SNI scan the certstore (serving), ECS answers come from the
+    # ground-truth mapping (serving + routing + population quantiles),
+    # Verfploeter catchments ride the actual graph (routing).
+    Stage("services", "services", ("routing", "population", "serving"),
+          (), (TLS_SCAN_CAMPAIGN, SNI_SCAN_CAMPAIGN, ECS_MAPPING_CAMPAIGN,
+               CATCHMENT_CAMPAIGN)),
+    # Path prediction runs over the collector view (routing) between
+    # the users component's top ASes and the TLS footprints' home ASes.
+    Stage("routes", "routes", ("routing",), ("users", "services"),
+          (COLLECTOR_FEED_CAMPAIGN,)),
+    # Auxiliary campaigns (manifest-only; never feed the map).
+    Stage("aux-atlas", "aux", ("routing",), (), (ATLAS_CAMPAIGN,)),
+    Stage("aux-reverse-traceroute", "aux", ("routing",), ("aux-atlas",),
+          (REVERSE_TRACEROUTE_CAMPAIGN,)),
+    Stage("aux-cloud-vantage", "aux", ("routing",), (),
+          (CLOUD_VANTAGE_CAMPAIGN,)),
+    # IP-ID monitors routers built from the flow assignment, which
+    # folds traffic, mapping and deployment over BGP routes.
+    Stage("aux-ipid", "aux", ("routing", "activity", "serving"), (),
+          (IPID_CAMPAIGN,)),
+    # Resolver association samples page views from the traffic matrix.
+    Stage("aux-resolver-assoc", "aux", ("activity",), (),
+          (RESOLVER_ASSOC_CAMPAIGN,)),
+)
+STAGE_BY_NAME: Dict[str, Stage] = {stage.name: stage for stage in STAGES}
+
+PRIMARY_STAGES = tuple(s.name for s in STAGES if s.component != "aux")
+AUX_STAGES = tuple(s.name for s in STAGES if s.component == "aux")
+
+
+def _campaigns_of(component: str) -> Tuple[str, ...]:
+    return tuple(name for stage in STAGES if stage.component == component
+                 for name in stage.campaigns)
+
+
+# Which campaigns feed which map component (coverage aggregation).
+USERS_CAMPAIGNS = _campaigns_of("users")
+SERVICES_CAMPAIGNS = _campaigns_of("services")
+ROUTES_CAMPAIGNS = _campaigns_of("routes")
 
 # Freeze the scenario heap out of the cyclic GC only when it is big
 # enough for the collector rescans to dominate (scale10 is ~150k
@@ -152,9 +207,8 @@ def _checked_notes(notes: object) -> Dict[str, List[str]]:
 
 def checkpoint_stages(options: "BuilderOptions") -> Tuple[str, ...]:
     """The stage boundaries a build with these options passes through."""
-    if options.run_auxiliary_campaigns:
-        return PRIMARY_STAGES + AUX_STAGES
-    return PRIMARY_STAGES
+    return tuple(stage.name for stage in STAGES if stage.component != "aux"
+                 or options.run_auxiliary_campaigns)
 
 
 @dataclass(frozen=True)
@@ -331,9 +385,7 @@ class MapBuilder:
 
     # -- checkpointing --------------------------------------------------------
 
-    def _checkpointed(self, stage: str, compute,
-                      campaigns: Tuple[str, ...] = (),
-                      note_components: Tuple[str, ...] = ()):
+    def _checkpointed(self, stage: Stage, compute):
         """Run one stage through the checkpoint protocol.
 
         With a store and reuse on, a snapshot short-circuits
@@ -343,9 +395,8 @@ class MapBuilder:
         stage's current one. A stage whose inputs changed — and, via
         digest chaining, everything downstream of a changed output —
         recomputes. On a load the payload is decoded and the stage's
-        side effects — fault-scope counters of the ``campaigns`` it
-        touched, note lists of the ``note_components`` it wrote — are
-        restored *absolutely* (each snapshot carries the cumulative
+        side effects — fault-scope counters of its row's ``campaigns``,
+        the note list of its ``component`` — are restored *absolutely* (each snapshot carries the cumulative
         state at its boundary, so restores are idempotent in stage
         order, whatever mix of loads and recomputes precedes them). A
         snapshot that verifies but whose payload, scope states or note
@@ -357,6 +408,7 @@ class MapBuilder:
         snapshot is durable), never after a load — that asymmetry is
         what makes supervised resume terminate.
         """
+        name = stage.name
         lineage = self.ckpt_lineage
         store = self._ckpt_store
         if store is not None:
@@ -364,38 +416,38 @@ class MapBuilder:
             # Imported lazily: repro.delta imports repro.scenario.
             from ..delta.digests import stage_input_digest
             input_digest = stage_input_digest(
-                stage, self._substrate, self._stage_output_digests)
-            self._stage_input_digests[stage] = input_digest
-            snapshot = (store.load(stage, lineage, input_digest)
+                name, self._substrate, self._stage_output_digests)
+            self._stage_input_digests[name] = input_digest
+            snapshot = (store.load(name, lineage, input_digest)
                         if self._reuse else None)
             if snapshot is not None:
                 try:
                     with self._recorder.span("ckpt.decode"):
                         value = stage_payload_from_dict(
-                            stage, snapshot.payload,
+                            name, snapshot.payload,
                             atlas=self._scenario.atlas)
                     notes = _checked_notes(snapshot.notes)
                     self._faults.restore_scopes(snapshot.scopes)
                 except ValidationError as exc:
-                    store.quarantine(snapshot.path, stage,
+                    store.quarantine(snapshot.path, name,
                                      f"undecodable snapshot: {exc}", lineage)
                 else:
                     self._notes.update(notes)
-                    lineage.stages_reused.append(stage)
-                    self._stage_output_digests[stage] = snapshot.digest
+                    lineage.stages_reused.append(name)
+                    self._stage_output_digests[name] = snapshot.digest
                     return value
         value = compute()
         if store is not None:
             with self._recorder.span("ckpt.encode"):
-                payload = stage_payload_to_dict(stage, value)
-            store.save(stage, payload,
-                       scopes=self._faults.export_scopes(campaigns),
-                       notes={c: list(self._notes.get(c, []))
-                              for c in note_components},
+                payload = stage_payload_to_dict(name, value)
+            notes = self._notes.get(stage.component, [])
+            store.save(name, payload,
+                       scopes=self._faults.export_scopes(stage.campaigns),
+                       notes={stage.component: list(notes)},
                        input_digest=input_digest)
-            self._stage_output_digests[stage] = store.last_saved_digest
-            lineage.stages_recomputed.append(stage)
-        self._crash_if_armed(stage)
+            self._stage_output_digests[name] = store.last_saved_digest
+            lineage.stages_recomputed.append(name)
+        self._crash_if_armed(name)
         return value
 
     def _crash_if_armed(self, stage: str) -> None:
@@ -498,48 +550,21 @@ class MapBuilder:
                     techniques=activity.techniques),
                 "activity": activity}
 
-    def _build_users(self) -> UsersComponent:
-        cache_result = self._checkpointed(
-            "cache-probing", self._stage_cache_probing,
-            (CACHE_PROBING_CAMPAIGN,), ("users",))
-        if cache_result is not None:
-            self.artifacts.cache_result = cache_result
-        rootlog_result = self._checkpointed(
-            "root-logs", self._stage_rootlogs,
-            (ROOTLOG_CAMPAIGN,), ("users",))
-        if rootlog_result is not None:
-            self.artifacts.rootlog_result = rootlog_result
-        bundle = self._checkpointed(
-            "users",
-            lambda: self._stage_users(cache_result, rootlog_result),
-            (), ("users",))
-        if bundle["activity"] is not None:
-            self.artifacts.activity = bundle["activity"]
-        return bundle["component"]
-
     # -- services component ------------------------------------------------------
 
-    def _build_services(self, users: UsersComponent) -> ServicesComponent:
-        bundle = self._checkpointed(
-            "services", lambda: self._stage_services(users),
-            SERVICES_CAMPAIGNS, ("services",))
-        self.artifacts.tls_result = bundle["tls"]
-        self.artifacts.ecs_result = bundle["ecs"]
-        self.artifacts.catchments = dict(bundle["catchments"])
-        return bundle["component"]
-
-    def _stage_services(self, users: UsersComponent) -> Dict[str, object]:
+    def _stage_services(self) -> Dict[str, object]:
         """Stage ``services``: §3.2 scans, mapping and assembly.
 
         Returns the component together with the raw TLS / ECS /
         catchment artifacts — the snapshot must carry them because the
-        routes stage (TLS footprints) and downstream reporting read them
-        from :attr:`artifacts`.
+        routes stage reads the TLS footprints and downstream reporting
+        reads all three from :attr:`artifacts`.
         """
         scenario = self._scenario
         sites_by_org: Dict[str, List[MappedSite]] = {}
         serving_by_domain: Dict[str, "set[int]"] = {}
         user_to_host: Dict[str, Dict[int, int]] = {}
+        catchments: Dict[str, CatchmentMeasurement] = {}
         unmapped: List[str] = []
 
         tls_result: Optional[TlsScanResult] = None
@@ -549,7 +574,6 @@ class MapBuilder:
                                  recorder=self._recorder)
             try:
                 tls_result = scanner.run()
-                self.artifacts.tls_result = tls_result
             except MeasurementError as exc:
                 self._faults.campaign(TLS_SCAN_CAMPAIGN).mark_failed(
                     str(exc))
@@ -572,7 +596,6 @@ class MapBuilder:
                            "mapping limited to catchment probing")
                 unmapped.extend(s.key for s in scenario.catalog.services)
         if ecs_result is not None:
-            self.artifacts.ecs_result = ecs_result
             for key, mapping in ecs_result.per_service.items():
                 mapped = mapping.answer_pids >= 0
                 # tolist() gives plain ints in bulk — far cheaper than
@@ -585,7 +608,7 @@ class MapBuilder:
             unmapped.extend(s.key for s in scenario.catalog.services)
 
         if self._options.use_catchment_probing:
-            covered = self._map_anycast_services(user_to_host)
+            covered = self._map_anycast_services(user_to_host, catchments)
             unmapped = [key for key in unmapped if key not in covered]
 
         if tls_result is not None:
@@ -613,17 +636,17 @@ class MapBuilder:
             user_to_host=user_to_host,
             unmapped_services=tuple(sorted(set(unmapped))))
         return {"component": component, "tls": tls_result,
-                "ecs": ecs_result,
-                "catchments": dict(self.artifacts.catchments)}
+                "ecs": ecs_result, "catchments": catchments}
 
-    def _map_anycast_services(self,
-                              user_to_host: Dict[str, Dict[int, int]]
-                              ) -> "set[str]":
+    def _map_anycast_services(
+            self, user_to_host: Dict[str, Dict[int, int]],
+            catchments: Dict[str, CatchmentMeasurement]) -> "set[str]":
         """Fill user->host entries for anycast services via Verfploeter.
 
         One catchment campaign per anycast operator covers all of its
-        services (catchments are per-network, not per-service). Returns
-        the service keys covered.
+        services (catchments are per-network, not per-service); each
+        operator's measurement lands in ``catchments``. Returns the
+        service keys covered.
         """
         scenario = self._scenario
         covered: "set[str]" = set()
@@ -643,7 +666,7 @@ class MapBuilder:
                 self._note("services", f"catchment probing of {hg_key} "
                                        f"failed ({exc})")
                 continue
-            self.artifacts.catchments[hg_key] = measurement
+            catchments[hg_key] = measurement
             site_answer = {site.site_id: site.prefix_ids[0]
                            for site in model.sites}
             reached = np.asarray(measurement.site_of_prefix) >= 0
@@ -721,21 +744,23 @@ class MapBuilder:
 
     # -- routes component ------------------------------------------------------
 
-    def _build_routes(self, users: UsersComponent,
-                      services: ServicesComponent) -> RoutesComponent:
-        """Predict routes between the most active user ASes and the
-        discovered serving organisations' home ASes."""
+    def _stage_routes(self, users: Dict[str, object],
+                      services: Dict[str, object]) -> RoutesComponent:
+        """Stage ``routes``: predict routes between the most active user
+        ASes and the discovered serving organisations' home ASes."""
         view = self._scenario.public_view
         if self._faults.active(FaultKind.STALE_COLLECTOR):
             view = degraded_public_view(view, self._faults)
             self._note("routes", "collector snapshot is stale; predicting "
                                  "over the thinned topology")
         predictor = PathPredictor(view, recorder=self._recorder)
-        top_ases = [asn for asn, __ in users.top_ases(ROUTE_PAIRS_TOP_ASES)]
+        top_ases = [asn for asn, __ in
+                    users["component"].top_ases(ROUTE_PAIRS_TOP_ASES)]
         dst_asns: List[int] = []
-        if self.artifacts.tls_result is not None:
-            for org in self.artifacts.tls_result.organizations():
-                footprint = self.artifacts.tls_result.footprint_of(org)
+        tls_result = services["tls"]
+        if tls_result is not None:
+            for org in tls_result.organizations():
+                footprint = tls_result.footprint_of(org)
                 if footprint.total_prefixes >= 5:
                     dst_asns.append(footprint.home_asn)
         dst_asns = sorted(set(dst_asns)) or [self._scenario.gdns_operator_asn]
@@ -822,15 +847,17 @@ class MapBuilder:
         return {"vantage_points": list(platform.vantage_points),
                 "traceroutes": traceroutes}
 
-    def _stage_aux_revtr(self, vantage_points) -> Optional[List[PathPair]]:
-        """Stage ``aux-reverse-traceroute`` (needs an Atlas vantage)."""
-        if not vantage_points:
+    def _stage_aux_revtr(self, atlas: Optional[Dict[str, object]]
+                         ) -> Optional[List[PathPair]]:
+        """Stage ``aux-reverse-traceroute``: from the first vantage point
+        of the ``aux-atlas`` stage's output (None without one)."""
+        if atlas is None or not atlas["vantage_points"]:
             return None
         revtr = ReverseTraceroute(self._scenario.bgp, faults=self._faults,
                                   recorder=self._recorder)
         try:
             return revtr.measure_many(
-                vantage_points[0],
+                atlas["vantage_points"][0],
                 self._eyeball_asns()[:self._options.aux_reverse_pairs])
         except MeasurementError as exc:
             self._faults.campaign(
@@ -887,91 +914,62 @@ class MapBuilder:
             self._note("aux", f"resolver association failed ({exc})")
             return None
 
-    def _run_auxiliary_campaigns(self) -> None:
-        """Run the §3.1.3/§3.3.2 campaigns that enrich but never feed the
-        map: Atlas traceroutes, reverse traceroute, cloud-vantage
-        traceroutes, IP ID monitoring and resolver association.
+    def _run_aux_pool(self, stages: List[Stage],
+                      out: Dict[str, object]) -> None:
+        """Run the auxiliary stages as whole units across the worker pool.
 
-        Every campaign draws from its own seed substream and writes only
-        to :attr:`artifacts` and the recorder, so enabling this phase
-        cannot perturb the serialized map. Failures degrade like the
-        primary campaigns: mark the scope failed, note it, move on.
-        Each campaign is its own checkpoint stage.
-
-        With ``workers > 1`` and checkpointing off, the whole stages run
-        as units across the worker pool (they are mutually independent
-        apart from reverse traceroute needing the Atlas vantage points);
-        checkpointed builds stay on the serial path because stage
-        snapshots must be written in order.
+        The §3.1.3/§3.3.2 campaigns draw from their own seed substreams
+        and feed no map component, so they may run side by side. Each
+        wave holds every pending stage whose ``upstream`` outputs are in
+        ``out`` (reverse traceroute waits for the Atlas vantage points).
+        Each worker runs one stage on an isolated builder clone with a
+        fresh fault context and recorder; the parent merges the returned
+        scope states, notes and recorder snapshots *in table order*, so
+        every output this class guarantees bit-identity for is the same
+        as an inline run's.
         """
-        if self._executor.parallel and self._ckpt_store is None:
-            self._run_auxiliary_parallel()
-            return
-        atlas_bundle = self._checkpointed(
-            "aux-atlas", self._stage_aux_atlas,
-            (ATLAS_CAMPAIGN,), ("aux",))
-        vantage_points = []
-        if atlas_bundle is not None:
-            self.artifacts.atlas_traceroutes = atlas_bundle["traceroutes"]
-            vantage_points = atlas_bundle["vantage_points"]
-        self.artifacts.reverse_pairs = self._checkpointed(
-            "aux-reverse-traceroute",
-            lambda: self._stage_aux_revtr(vantage_points),
-            (REVERSE_TRACEROUTE_CAMPAIGN,), ("aux",))
-        self.artifacts.cloud_links = self._checkpointed(
-            "aux-cloud-vantage", self._stage_aux_cloud,
-            (CLOUD_VANTAGE_CAMPAIGN,), ("aux",))
-        self.artifacts.ipid_analyses = self._checkpointed(
-            "aux-ipid", self._stage_aux_ipid,
-            (IPID_CAMPAIGN,), ("aux",))
-        self.artifacts.resolver_association = self._checkpointed(
-            "aux-resolver-assoc", self._stage_aux_assoc,
-            (RESOLVER_ASSOC_CAMPAIGN,), ("aux",))
-
-    def _run_auxiliary_parallel(self) -> None:
-        """Parallel whole-stage execution of the auxiliary campaigns.
-
-        Two waves: everything without a dependency first, then reverse
-        traceroute (which needs the Atlas vantage points). Each worker
-        runs one stage on an isolated builder clone with a fresh fault
-        context and recorder; the parent merges the returned scope
-        states, notes and recorder snapshots *in the serial stage order*,
-        so every output this class guarantees bit-identity for is the
-        same as an inline run's.
-        """
-        wave1 = ["aux-atlas", "aux-cloud-vantage", "aux-ipid",
-                 "aux-resolver-assoc"]
         results: Dict[str, Dict[str, object]] = {}
-        out = self._executor.run(_aux_stage_worker, (self, wave1, []),
-                                 len(wave1), "aux-stages", chunk_size=1)
-        results.update(zip(wave1, out))
-        atlas_bundle = results["aux-atlas"]["artifact"]
-        vantage_points = [] if atlas_bundle is None else \
-            atlas_bundle["vantage_points"]
-        wave2 = ["aux-reverse-traceroute"]
-        out = self._executor.run(
-            _aux_stage_worker, (self, wave2, vantage_points),
-            len(wave2), "aux-stages", chunk_size=1)
-        results.update(zip(wave2, out))
-        for stage in AUX_STAGES:
-            merged = results[stage]
-            for name in _AUX_STAGE_CAMPAIGNS[stage]:
-                state = merged["scopes"].get(name)
-                if state is not None:
-                    self._faults.campaign(name).merge_state(state)
-            for component, notes in merged["notes"].items():
+        pending = list(stages)
+        while pending:
+            # Upstream stages come earlier in the table, so the first
+            # pending stage is always ready.
+            wave = [s for s in pending if all(u in out for u in s.upstream)]
+            pending = [s for s in pending if s not in wave]
+            inputs = {u: out[u] for s in wave for u in s.upstream}
+            names = [s.name for s in wave]
+            done = self._executor.run(_aux_stage_worker,
+                                      (self, names, inputs), len(wave),
+                                      "aux-stages", chunk_size=1)
+            for name, result in zip(names, done):
+                results[name] = result
+                out[name] = result["artifact"]
+        for stage in stages:
+            result = results[stage.name]
+            for name, state in result["scopes"].items():
+                self._faults.campaign(name).merge_state(state)
+            for component, notes in result["notes"].items():
                 for note in notes:
                     self._note(component, note)
-            self._recorder.absorb(merged["recorder"])
-            self._crash_if_armed(stage)
-        if atlas_bundle is not None:
-            self.artifacts.atlas_traceroutes = atlas_bundle["traceroutes"]
-        self.artifacts.reverse_pairs = \
-            results["aux-reverse-traceroute"]["artifact"]
-        self.artifacts.cloud_links = results["aux-cloud-vantage"]["artifact"]
-        self.artifacts.ipid_analyses = results["aux-ipid"]["artifact"]
-        self.artifacts.resolver_association = \
-            results["aux-resolver-assoc"]["artifact"]
+            self._recorder.absorb(result["recorder"])
+            self._crash_if_armed(stage.name)
+
+    def _keep_artifacts(self, out: Dict[str, object]) -> None:
+        """File the stage outputs reports read under :attr:`artifacts`."""
+        artifacts, services = self.artifacts, out["services"]
+        artifacts.cache_result = out["cache-probing"]
+        artifacts.rootlog_result = out["root-logs"]
+        artifacts.activity = out["users"]["activity"]
+        artifacts.tls_result = services["tls"]
+        artifacts.ecs_result = services["ecs"]
+        artifacts.catchments = dict(services["catchments"])
+        # The aux stages ran only with run_auxiliary_campaigns.
+        atlas = out.get("aux-atlas")
+        if atlas is not None:
+            artifacts.atlas_traceroutes = atlas["traceroutes"]
+        artifacts.reverse_pairs = out.get("aux-reverse-traceroute")
+        artifacts.cloud_links = out.get("aux-cloud-vantage")
+        artifacts.ipid_analyses = out.get("aux-ipid")
+        artifacts.resolver_association = out.get("aux-resolver-assoc")
 
     def build(self) -> InternetTrafficMap:
         """Run the configured campaigns and assemble the map."""
@@ -1004,18 +1002,25 @@ class MapBuilder:
 
     def _build_profiled(self, rec) -> InternetTrafficMap:
         """The build pipeline proper (wrapped by :meth:`build`)."""
+        out: Dict[str, object] = {}
+        stages = [STAGE_BY_NAME[name] for name in self.stages()]
         with rec.span("build"):
-            with rec.span("users"):
-                users = self._build_users()
-            with rec.span("services"):
-                services = self._build_services(users)
-            with rec.span("routes"):
-                routes = self._checkpointed(
-                    "routes", lambda: self._build_routes(users, services),
-                    ROUTES_CAMPAIGNS, ("routes",))
-            if self._options.run_auxiliary_campaigns:
-                with rec.span("aux"):
-                    self._run_auxiliary_campaigns()
+            for component, group in itertools.groupby(
+                    stages, key=attrgetter("component")):
+                with rec.span(component):
+                    # Checkpointed builds run the aux stages inline too:
+                    # snapshots must be written in table order.
+                    if component == "aux" and self._executor.parallel \
+                            and self._ckpt_store is None:
+                        self._run_aux_pool(list(group), out)
+                        continue
+                    for stage in group:
+                        out[stage.name] = self._checkpointed(
+                            stage, partial(_run_stage, self, stage, out))
+            self._keep_artifacts(out)
+            users = out["users"]["component"]
+            services = out["services"]["component"]
+            routes = out["routes"]
             with rec.span("assemble"):
                 metadata: Dict[str, object] = {
                     "seed": self._scenario.config.seed,
@@ -1083,17 +1088,31 @@ class MapBuilder:
         }
 
 
-# Campaigns each auxiliary stage touches (scope merge after a worker run).
-_AUX_STAGE_CAMPAIGNS: Dict[str, Tuple[str, ...]] = {
-    "aux-atlas": (ATLAS_CAMPAIGN,),
-    "aux-reverse-traceroute": (REVERSE_TRACEROUTE_CAMPAIGN,),
-    "aux-cloud-vantage": (CLOUD_VANTAGE_CAMPAIGN,),
-    "aux-ipid": (IPID_CAMPAIGN,),
-    "aux-resolver-assoc": (RESOLVER_ASSOC_CAMPAIGN,),
+#: Each stage's compute, called with the builder and the outputs of the
+#: stage's ``upstream`` stages, in row order.
+_STAGE_COMPUTE = {
+    "cache-probing": MapBuilder._stage_cache_probing,
+    "root-logs": MapBuilder._stage_rootlogs,
+    "users": MapBuilder._stage_users,
+    "services": MapBuilder._stage_services,
+    "routes": MapBuilder._stage_routes,
+    "aux-atlas": MapBuilder._stage_aux_atlas,
+    "aux-reverse-traceroute": MapBuilder._stage_aux_revtr,
+    "aux-cloud-vantage": MapBuilder._stage_aux_cloud,
+    "aux-ipid": MapBuilder._stage_aux_ipid,
+    "aux-resolver-assoc": MapBuilder._stage_aux_assoc,
 }
 
 
-def _aux_stage_worker(payload: Tuple["MapBuilder", List[str], list],
+def _run_stage(builder: MapBuilder, stage: Stage,
+               outputs: Dict[str, object]) -> object:
+    """Compute one stage on ``builder`` from its upstream outputs."""
+    return _STAGE_COMPUTE[stage.name](
+        builder, *(outputs[name] for name in stage.upstream))
+
+
+def _aux_stage_worker(payload: Tuple[MapBuilder, List[str],
+                                     Dict[str, object]],
                       shard: int) -> Dict[str, object]:
     """Run one whole auxiliary stage in isolation (pool worker or inline).
 
@@ -1103,8 +1122,8 @@ def _aux_stage_worker(payload: Tuple["MapBuilder", List[str], list],
     fresh recorder and empty notes, so nothing the stage does can leak
     into the parent except through the returned snapshot.
     """
-    builder, stages, vantage_points = payload
-    stage = stages[shard]
+    builder, names, inputs = payload
+    stage = STAGE_BY_NAME[names[shard]]
     clone = copy.copy(builder)
     clone._faults = FaultContext(builder._faults.plan,
                                  retry=builder._faults.retry)
@@ -1113,21 +1132,9 @@ def _aux_stage_worker(payload: Tuple["MapBuilder", List[str], list],
     clone._notes = {}
     clone._ckpt_store = None
     clone.ckpt_lineage = None
-    if stage == "aux-atlas":
-        artifact: object = clone._stage_aux_atlas()
-    elif stage == "aux-reverse-traceroute":
-        artifact = clone._stage_aux_revtr(vantage_points)
-    elif stage == "aux-cloud-vantage":
-        artifact = clone._stage_aux_cloud()
-    elif stage == "aux-ipid":
-        artifact = clone._stage_aux_ipid()
-    elif stage == "aux-resolver-assoc":
-        artifact = clone._stage_aux_assoc()
-    else:
-        raise ValidationError(f"unknown auxiliary stage {stage!r}")
     return {
-        "artifact": artifact,
-        "scopes": clone._faults.export_scopes(_AUX_STAGE_CAMPAIGNS[stage]),
+        "artifact": _run_stage(clone, stage, inputs),
+        "scopes": clone._faults.export_scopes(stage.campaigns),
         "notes": {c: list(n) for c, n in clone._notes.items()},
         "recorder": clone._recorder.snapshot(),
     }

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import partial
 from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
@@ -131,7 +132,7 @@ def _users_to_dict(users: UsersComponent) -> Dict[str, Any]:
     }
 
 
-def _users_from_dict(raw: Any, where: str = "users") -> UsersComponent:
+def _users_from_dict(raw: Any, where: str) -> UsersComponent:
     return UsersComponent(
         detected_prefixes=np.asarray(
             _get(raw, "detected_prefixes", list, where), dtype=int),
@@ -188,8 +189,8 @@ def _user_to_host_from(mapping: Any, where: str) -> Dict[int, int]:
     return dict(zip(clients, hosts))
 
 
-def _services_from_dict(raw: Any, atlas: WorldAtlas,
-                        where: str = "services") -> ServicesComponent:
+def _services_from_dict(raw: Any, where: str,
+                        atlas: WorldAtlas) -> ServicesComponent:
     sites_by_org = {}
     for org, site_list in _get(raw, "sites_by_org", dict, where).items():
         sites = []
@@ -229,18 +230,35 @@ def _routes_to_dict(routes: RoutesComponent) -> Dict[str, Any]:
     }
 
 
-def _routes_from_dict(raw: Any, where: str = "routes") -> RoutesComponent:
+def _routes_from_dict(raw: Any, where: str) -> RoutesComponent:
     paths = {}
     for i, entry in enumerate(_get(raw, "paths", list, where)):
         entry_where = f"{where}.paths[{i}]"
         path_raw = _get(entry, "path", None, entry_where)
-        path = tuple(path_raw) if path_raw is not None else None
+        path = tuple(map(int, path_raw)) if path_raw is not None else None
         paths[(int(_get(entry, "src", int, entry_where)),
                int(_get(entry, "dst", int, entry_where)))] = path
     return RoutesComponent(
         paths=paths,
         predictability=float(
             _get(raw, "predictability", (int, float), where)))
+
+
+def _coverage_from_dict(raw: Any,
+                        where: str) -> Dict[str, ComponentCoverage]:
+    coverage = {}
+    for name, entry in raw.items():
+        entry_where = f"{where}[{name!r}]"
+        coverage[name] = ComponentCoverage(
+            component=name,
+            coverage=float(_get(entry, "coverage", (int, float),
+                                entry_where)),
+            techniques_intended=tuple(
+                _get(entry, "techniques_intended", list, entry_where)),
+            techniques_delivered=tuple(
+                _get(entry, "techniques_delivered", list, entry_where)),
+            notes=tuple(_get(entry, "notes", list, entry_where)))
+    return coverage
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +305,9 @@ def map_from_dict(payload: Dict[str, Any],
     ``prefix_asn`` re-enables the cross-component queries that need the
     prefix-to-AS table. Malformed payloads raise
     :class:`ValidationError` naming the offending key and the expected
-    type, never a bare ``KeyError``.
+    type, never a bare ``KeyError``; a value the decoders cannot convert
+    (a non-numeric key or weight, an unknown city) raises one naming
+    its section.
     """
     if not isinstance(payload, dict):
         raise ValidationError(
@@ -297,33 +317,26 @@ def map_from_dict(payload: Dict[str, Any],
         raise ValidationError(
             f"unsupported map format {payload.get('format_version')!r}")
     atlas = atlas or WorldAtlas.default()
-
-    users = _users_from_dict(
-        _get(payload, "users", dict, "map payload"), "users")
-    services = _services_from_dict(
-        _get(payload, "services", dict, "map payload"), atlas, "services")
-    routes = _routes_from_dict(
-        _get(payload, "routes", dict, "map payload"), "routes")
-
-    coverage = {}
-    for name, entry in _get(payload, "coverage", dict,
-                            "map payload").items():
-        where = f"coverage[{name!r}]"
-        coverage[name] = ComponentCoverage(
-            component=name,
-            coverage=float(_get(entry, "coverage", (int, float), where)),
-            techniques_intended=tuple(
-                _get(entry, "techniques_intended", list, where)),
-            techniques_delivered=tuple(
-                _get(entry, "techniques_delivered", list, where)),
-            notes=tuple(_get(entry, "notes", list, where)))
+    decoders = (
+        ("users", _users_from_dict),
+        ("services", partial(_services_from_dict, atlas=atlas)),
+        ("routes", _routes_from_dict),
+        ("coverage", _coverage_from_dict),
+    )
+    sections = {}
+    for name, decode in decoders:
+        raw = _get(payload, name, dict, "map payload")
+        try:
+            sections[name] = decode(raw, name)
+        except ValidationError:
+            raise
+        except (ReproError, TypeError, ValueError) as exc:
+            raise ValidationError(f"map payload {name}: {exc}") from None
 
     metadata: Dict[str, Any] = {"seed": payload.get("seed")}
     if prefix_asn is not None:
         metadata["prefix_asn"] = prefix_asn
-    return InternetTrafficMap(users=users, services=services,
-                              routes=routes, metadata=metadata,
-                              coverage=coverage)
+    return InternetTrafficMap(metadata=metadata, **sections)
 
 
 def map_from_json(text: Union[str, bytes],

@@ -23,8 +23,7 @@ records, coverage provenance — to ``fresh_build(mutated_world)``.
 See ``docs/delta.md``.
 """
 
-from .digests import (ASPECTS, STAGE_INPUTS, SubstrateDigests,
-                      stage_input_digest)
+from .digests import ASPECTS, SubstrateDigests, stage_input_digest
 from .mutations import (MUTATION_KINDS, ActivitySwing, LinkChurn,
                         MutationPlan, SiteTurnover, WorldMutation,
                         apply_mutation_plan, mutation_from_dict)
@@ -32,7 +31,6 @@ from .mutations import (MUTATION_KINDS, ActivitySwing, LinkChurn,
 __all__ = [
     "ASPECTS",
     "MUTATION_KINDS",
-    "STAGE_INPUTS",
     "ActivitySwing",
     "LinkChurn",
     "MutationPlan",

@@ -16,17 +16,17 @@ The substrate is carved into four **aspects**
 
 :class:`SubstrateDigests` hashes each aspect's *content* (never object
 identity or epoch counters, which differ between a mutated world and a
-freshly-generated equal one). :data:`STAGE_INPUTS` maps every builder
-stage to the aspects it reads plus its upstream stages;
-:func:`stage_input_digest` chains the aspect digests with the upstream
-stages' snapshot *body* digests, so a change anywhere upstream — in the
-substrate or in a recomputed predecessor — cascades, and an unchanged
-input set short-circuits to snapshot reuse (early cutoff).
+freshly-generated equal one). :func:`stage_input_digest` reads a
+stage's row of :data:`repro.core.builder.STAGES` — the aspects it reads
+plus its upstream stages — and chains the aspect digests with the
+upstream stages' snapshot *body* digests, so a change anywhere upstream
+— in the substrate or in a recomputed predecessor — cascades, and an
+unchanged input set short-circuits to snapshot reuse (early cutoff).
 
-The stage tables here are cross-checked against
-``repro.core.builder.PRIMARY_STAGES``/``AUX_STAGES`` in
-``tests/test_delta.py``; the guarantee that they capture *everything*
-each stage reads is locked end-to-end by the reuse identity matrix in
+The table's invariants (known aspects, upstreams earlier, every stage
+reads something) are checked in ``tests/test_delta.py``; the guarantee
+that the rows capture *everything* each stage reads is locked
+end-to-end by the reuse identity matrix in
 ``tests/test_delta_identity.py``.
 """
 
@@ -34,40 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 import numpy as np
 
+from ..core.builder import STAGE_BY_NAME
 from ..errors import ValidationError
 from ..scenario import ASPECTS
-
-#: stage -> (substrate aspects read, upstream stages read).
-#: Keys mirror repro.core.builder.PRIMARY_STAGES + AUX_STAGES.
-STAGE_INPUTS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    # Cache probing reads the GDNS cache oracle (calibrated from the
-    # traffic matrix over the user-prefix set).
-    "cache-probing": (("activity", "population"), ()),
-    # The root-log archive derives from per-prefix user counts.
-    "root-logs": (("population",), ()),
-    # Fusion is a pure function of the two §3.1.2 stage outputs.
-    "users": ((), ("cache-probing", "root-logs")),
-    # TLS/SNI scan the certstore (serving), ECS answers come from the
-    # ground-truth mapping (serving + routing + population quantiles),
-    # Verfploeter catchments ride the actual graph (routing).
-    "services": (("routing", "population", "serving"), ()),
-    # Path prediction runs over the collector view (routing) between
-    # the users component's top ASes and the TLS footprints' home ASes.
-    "routes": (("routing",), ("users", "services")),
-    # Auxiliary campaigns (manifest-only; never feed the map).
-    "aux-atlas": (("routing",), ()),
-    "aux-reverse-traceroute": (("routing",), ("aux-atlas",)),
-    "aux-cloud-vantage": (("routing",), ()),
-    # IP-ID monitors routers built from the flow assignment, which
-    # folds traffic, mapping and deployment over BGP routes.
-    "aux-ipid": (("routing", "activity", "serving"), ()),
-    # Resolver association samples page views from the traffic matrix.
-    "aux-resolver-assoc": (("activity",), ()),
-}
 
 
 def _sha256(*chunks: bytes) -> str:
@@ -158,15 +131,14 @@ def stage_input_digest(stage: str, substrate: SubstrateDigests,
     Raises :class:`ValidationError` for an unknown stage or a missing
     upstream digest — stages must be processed in builder order.
     """
-    inputs = STAGE_INPUTS.get(stage)
-    if inputs is None:
+    row = STAGE_BY_NAME.get(stage)
+    if row is None:
         raise ValidationError(f"no input-digest table for stage "
                               f"{stage!r}")
-    aspects, upstream = inputs
     parts = [f"stage={stage}"]
-    for aspect in aspects:
+    for aspect in row.aspects:
         parts.append(f"{aspect}={substrate.aspect(aspect)}")
-    for name in upstream:
+    for name in row.upstream:
         digest = upstream_digests.get(name)
         if digest is None:
             raise ValidationError(

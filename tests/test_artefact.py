@@ -111,11 +111,73 @@ def _reindented(itm) -> str:
                       sort_keys=True)
 
 
+def _tampered(edit):
+    """A writer of the canonical artefact with one field hand-edited."""
+    def write(itm) -> str:
+        payload = json.loads(map_to_json(itm))
+        edit(payload)
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return write
+
+
+def _first_key(mapping):
+    return next(iter(mapping))
+
+
+def _set_as_key(payload):
+    activity = payload["users"]["activity_by_as"]
+    activity["x" + _first_key(activity)] = 1.0
+
+
+def _set_prefix_weight(payload):
+    activity = payload["users"]["activity_by_prefix"]
+    activity[_first_key(activity)] = "lots"
+
+
+def _set_detected_prefix(payload):
+    payload["users"]["detected_prefixes"][0] = "zero"
+
+
+def _set_route_hop(payload):
+    entry = next(e for e in payload["routes"]["paths"] if e["path"])
+    entry["path"][0] = "hop"
+
+
+def _set_client(payload):
+    user_to_host = payload["services"]["user_to_host"]
+    user_to_host[_first_key(user_to_host)]["clients"][0] = "c"
+
+
+def _set_city(payload):
+    site = next(site for sites in payload["services"]["sites_by_org"]
+                .values() for site in sites if site["city"])
+    site["city"] = ["ZZ", "Atlantis"]
+
+
+def _set_serving_asns(payload):
+    serving = payload["services"]["serving_asns_by_domain"]
+    serving[_first_key(serving)] = 5
+
+
+TAMPERINGS = [
+    (_tampered(_set_as_key), "map payload users"),
+    (_tampered(_set_prefix_weight), "map payload users"),
+    (_tampered(_set_detected_prefix), "map payload users"),
+    (_tampered(_set_route_hop), "map payload routes"),
+    (_tampered(_set_client), "map payload services"),
+    (_tampered(_set_city), "unknown city"),
+    (_tampered(_set_serving_asns), "map payload services"),
+]
+TAMPERING_IDS = ["as-key", "prefix-weight", "detected-prefix", "route-hop",
+                 "client", "unknown-city", "serving-asns"]
+
+
 @pytest.mark.parametrize("write, reason", [
     (_format_1, "unsupported map format 1"),
     (_format_1_as_written, "newline"),
     (_reindented, "newline"),
-], ids=["format-1", "format-1-indented", "format-2-reindented"])
+] + TAMPERINGS, ids=["format-1", "format-1-indented",
+                     "format-2-reindented"] + TAMPERING_IDS)
 def test_old_and_indented_artefacts_refused(write, reason, tmp_path,
                                             capsys, small_itm,
                                             small_scenario):

@@ -10,8 +10,9 @@ Four contracts (docs/delta.md):
   build; an activity-only mutation must not recompute routing-only
   stages. The exact reused/recomputed sets per mutation kind are
   regression-locked.
-* **Dirty-stage tables** — ``STAGE_INPUTS`` stays in lockstep with the
-  builder's stage list, and upstream references respect builder order.
+* **Stage table** — every row of ``STAGES`` names known aspects and
+  earlier upstreams and reads something, and every stage touches only
+  the fault scopes and note list its row declares.
 * **Manifest validation** — an inconsistent checkpoint lineage is
   rejected with the offending stage *lists* named (not just counts),
   and the format-3 delta section is schema-checked.
@@ -25,15 +26,17 @@ from __future__ import annotations
 import pytest
 
 from repro import ScenarioConfig, build_scenario
-from repro.core.builder import (AUX_STAGES, PRIMARY_STAGES, MapBuilder)
+from repro.core import builder as builder_module
+from repro.core.builder import (AUX_STAGES, PRIMARY_STAGES, STAGES,
+                                BuilderOptions, MapBuilder)
 from repro.core.serialize import map_to_json
-from repro.delta import (ASPECTS, MUTATION_KINDS, STAGE_INPUTS,
+from repro.delta import (ASPECTS, MUTATION_KINDS,
                          ActivitySwing, LinkChurn, MutationPlan,
                          SiteTurnover, SubstrateDigests,
                          apply_mutation_plan, mutation_from_dict,
                          stage_input_digest)
 from repro.errors import ValidationError
-from repro.faults import FaultPlan, SimulatedCrash
+from repro.faults import FaultContext, FaultPlan, SimulatedCrash
 from repro.obs import validate_manifest
 
 SEED = 20211110
@@ -64,22 +67,73 @@ SWING = ActivitySwing(prefix_ids=(0, 1, 2, 3), factor=2.0)
 
 class TestStageTables:
     def test_inputs_cover_exactly_the_builder_stages(self):
-        assert set(STAGE_INPUTS) == set(PRIMARY_STAGES + AUX_STAGES)
+        # One row and one compute per stage, and each component's rows
+        # contiguous (a component runs under one span).
+        names = tuple(stage.name for stage in STAGES)
+        assert len(set(names)) == len(names)
+        assert set(builder_module._STAGE_COMPUTE) == set(names)
+        assert PRIMARY_STAGES + AUX_STAGES == names
+        components = [stage.component for stage in STAGES]
+        runs = [c for i, c in enumerate(components)
+                if i == 0 or components[i - 1] != c]
+        assert len(runs) == len(set(runs)), runs
 
     def test_upstreams_are_earlier_stages(self):
-        order = PRIMARY_STAGES + AUX_STAGES
-        for stage, (aspects, upstream) in STAGE_INPUTS.items():
-            for aspect in aspects:
-                assert aspect in ASPECTS, (stage, aspect)
-            for name in upstream:
-                assert order.index(name) < order.index(stage), \
-                    (stage, name)
+        order = [stage.name for stage in STAGES]
+        for stage in STAGES:
+            for aspect in stage.aspects:
+                assert aspect in ASPECTS, (stage.name, aspect)
+            for name in stage.upstream:
+                assert order.index(name) < order.index(stage.name), \
+                    (stage.name, name)
 
     def test_every_stage_has_an_input(self):
         # A stage with neither aspects nor upstreams would reuse its
         # snapshot under *any* mutation — that can only be wrong.
-        for stage, (aspects, upstream) in STAGE_INPUTS.items():
-            assert aspects or upstream, stage
+        for stage in STAGES:
+            assert stage.aspects or stage.upstream, stage.name
+
+    def test_stages_touch_only_what_their_rows_declare(
+            self, small_scenario, tmp_path, monkeypatch):
+        # A snapshot carries only its row's fault scopes and note list:
+        # a stage touching anything else would lose that state on resume.
+        touched = {}
+        running = []
+
+        def watch(method, record):
+            def wrapper(self, name, *args):
+                if running:
+                    touched[running[-1]][record].add(name)
+                return method(self, name, *args)
+            return wrapper
+
+        monkeypatch.setattr(FaultContext, "campaign",
+                            watch(FaultContext.campaign, 0))
+        monkeypatch.setattr(MapBuilder, "_note",
+                            watch(MapBuilder._note, 1))
+        for name, compute in list(builder_module._STAGE_COMPUTE.items()):
+            def traced(builder, *inputs, name=name, compute=compute):
+                touched[name] = (set(), set())
+                running.append(name)
+                try:
+                    return compute(builder, *inputs)
+                finally:
+                    running.pop()
+            monkeypatch.setitem(builder_module._STAGE_COMPUTE, name, traced)
+
+        MapBuilder(small_scenario,
+                   BuilderOptions(run_auxiliary_campaigns=True),
+                   faults=FaultPlan.parse("all=0.05", seed=7),
+                   checkpoint_dir=tmp_path).build()
+
+        assert list(touched) == [stage.name for stage in STAGES]
+        for stage in STAGES:
+            campaigns, notes = touched[stage.name]
+            assert campaigns <= set(stage.campaigns), stage.name
+            assert notes <= {stage.component}, stage.name
+        # The watch saw the stages at work.
+        assert all(touched[s.name][0] for s in STAGES if s.campaigns)
+        assert any(notes for __, notes in touched.values())
 
     def test_digest_requires_upstreams_in_order(self, small_scenario):
         substrate = SubstrateDigests(small_scenario)

@@ -466,6 +466,28 @@ class TestWatcher:
         assert watcher.poll_once() is False
         assert recorder.counters["serve.watch.errors"] == 1
 
+    def test_hand_edited_artefact_is_a_watch_error(self, tmp_path,
+                                                   small_itm,
+                                                   small_scenario):
+        """A reload of an artefact whose values the decoders cannot
+        convert is refused like any other bad artefact: the watcher
+        keeps serving the old map instead of dying on the exception."""
+        artefact = tmp_path / "map.json"
+        artefact.write_text(map_to_json(small_itm))
+        recorder = Recorder()
+        service = MapService(load_store(str(artefact), small_scenario),
+                             recorder=recorder)
+        payload = json.loads(map_to_json(small_itm))
+        activity = payload["users"]["activity_by_as"]
+        activity["x" + next(iter(activity))] = 1.0
+        artefact.write_text(json.dumps(payload, sort_keys=True,
+                                       separators=(",", ":")))
+        watcher = ArtefactWatcher(service, str(artefact), small_scenario,
+                                  interval=60)
+        watcher._signature = None
+        assert watcher.poll_once() is False
+        assert recorder.counters["serve.watch.errors"] == 1
+
 
 def watcher_poll(service, artefact, scenario) -> bool:
     """One watcher poll against a freshly-constructed watcher whose
