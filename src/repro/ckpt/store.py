@@ -11,7 +11,7 @@ content-addressed and self-verifying. Writes are atomic (temp file in
 the same directory, then ``os.replace``) so a crash mid-save can never
 leave a half-written snapshot where a resume would trust it.
 
-Envelope version 3 is laid out as::
+Envelope version 4 is laid out as::
 
     {<meta>,"body":<body_bytes of JSON body>}\n<array blob>
 
@@ -26,9 +26,10 @@ only numeric dtypes inside the blob are accepted, and nothing is ever
 unpickled. Any verification failure *quarantines* the snapshot (moves
 it to ``quarantine/`` and records the reason in the lineage) and
 reports a miss, so the builder recomputes the stage instead of trusting
-bad data — a wrong map is strictly worse than a slow one. A version-2
-snapshot (JSON only, before the blob) is quarantined the same way and
-recomputed once. A snapshot whose recorded input digest differs from
+bad data — a wrong map is strictly worse than a slow one. An older
+snapshot is quarantined the same way and recomputed once: version 3
+had this layout but held ``user_to_host`` as dicts, version 2 was JSON
+only. A snapshot whose recorded input digest differs from
 the stage's current one is *stale*: it describes another world, not a
 damaged file, so it is left in place (the recompute overwrites it) and
 reported as a miss.
@@ -62,7 +63,7 @@ from ..errors import ReproError
 from ..obs.recorder import NULL_RECORDER, Recorder
 
 #: Snapshot envelope schema version; bump on incompatible layout change.
-CKPT_FORMAT_VERSION = 3
+CKPT_FORMAT_VERSION = 4
 
 #: Hex digits of the body digest carried in the snapshot filename.
 _NAME_DIGEST_LEN = 12

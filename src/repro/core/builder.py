@@ -86,7 +86,7 @@ from ..measure.cloud_vantage import (CLOUD_VANTAGE_CAMPAIGN,
                                      CloudVantageResult)
 from ..measure.ecs_mapping import (ECS_MAPPING_CAMPAIGN, EcsMapper,
                                    EcsMappingResult)
-from ..measure.geolocation import client_centric_geolocate
+from ..measure.geolocation import nearest_cities, spherical_centroid
 from ..measure.ipid import IPID_CAMPAIGN, IpIdAnalysis, IpIdMonitor
 from ..measure.resolver_assoc import (RESOLVER_ASSOC_CAMPAIGN,
                                       PageMeasurementCampaign,
@@ -97,6 +97,7 @@ from ..measure.rootlogs import (ROOTLOG_CAMPAIGN, RootLogCrawler,
                                 RootLogCrawlResult)
 from ..measure.sniscan import SNI_SCAN_CAMPAIGN, SniScanner
 from ..measure.tlsscan import TLS_SCAN_CAMPAIGN, TlsScanner, TlsScanResult
+from ..net.geography import City
 from ..obs.manifest import (RunManifest, collect_manifest, config_digest,
                             fault_plan_digest, options_digest)
 from ..obs.recorder import NULL_RECORDER, Recorder, resolve_recorder
@@ -109,7 +110,7 @@ from .pathpred import PathPredictor
 from .serialize import stage_payload_from_dict, stage_payload_to_dict
 from .traffic_map import (ComponentCoverage, InternetTrafficMap,
                           MappedSite, RoutesComponent, ServicesComponent,
-                          UsersComponent)
+                          UserHostColumns, UsersComponent)
 
 
 @dataclass(frozen=True)
@@ -184,10 +185,13 @@ ROUTES_CAMPAIGNS = _campaigns_of("routes")
 # collect than the freeze saves.
 _GC_FREEZE_MIN_PREFIXES = 25_000
 
-# Build budgets: client-centric geolocation per serving organisation,
+# Build budgets: client-centric geolocation per serving organisation
+# (sites located, and the client prefixes one site needs and uses),
 # route-prediction source ASes (the most active), and the root-log
 # query count below which a resolver AS counts as undetected.
 MAX_GEOLOCATED_SITES_PER_ORG = 40
+GEOLOCATION_MIN_CLIENTS = 3
+GEOLOCATION_MAX_CLIENTS = 500
 ROUTE_PAIRS_TOP_ASES = 150
 ROOTLOG_MIN_QUERIES = 50.0
 
@@ -563,7 +567,7 @@ class MapBuilder:
         scenario = self._scenario
         sites_by_org: Dict[str, List[MappedSite]] = {}
         serving_by_domain: Dict[str, "set[int]"] = {}
-        user_to_host: Dict[str, Dict[int, int]] = {}
+        user_to_host: Dict[str, UserHostColumns] = {}
         catchments: Dict[str, CatchmentMeasurement] = {}
         unmapped: List[str] = []
 
@@ -580,6 +584,13 @@ class MapBuilder:
                 self._note("services", f"TLS scan failed ({exc}); no "
                                        "sites or SNI footprints")
 
+        # Every campaign below probes these, each prefix once, so each
+        # service's user->host client column lists a client once.
+        targets = scenario.routable_prefix_ids()
+        if not (np.diff(targets) > 0).all():
+            raise ValidationError("routable prefix ids must be strictly "
+                                  "increasing")
+
         ecs_result: Optional[EcsMappingResult] = None
         if self._options.use_ecs_mapping:
             mapper = EcsMapper(scenario.authoritative, scenario.catalog,
@@ -587,7 +598,7 @@ class MapBuilder:
                                recorder=self._recorder,
                                executor=self._executor)
             try:
-                ecs_result = mapper.run(scenario.routable_prefix_ids())
+                ecs_result = mapper.run(targets)
             except MeasurementError as exc:
                 self._faults.campaign(ECS_MAPPING_CAMPAIGN).mark_failed(
                     str(exc))
@@ -595,20 +606,20 @@ class MapBuilder:
                            f"ECS mapping failed ({exc}); user->host "
                            "mapping limited to catchment probing")
                 unmapped.extend(s.key for s in scenario.catalog.services)
+        ecs_columns: List[UserHostColumns] = []
         if ecs_result is not None:
             for key, mapping in ecs_result.per_service.items():
                 mapped = mapping.answer_pids >= 0
-                # tolist() gives plain ints in bulk — far cheaper than
-                # casting 100k+ numpy scalars one by one.
-                user_to_host[key] = dict(zip(
-                    mapping.client_pids[mapped].tolist(),
-                    mapping.answer_pids[mapped].tolist()))
+                user_to_host[key] = (mapping.client_pids[mapped],
+                                     mapping.answer_pids[mapped])
+                ecs_columns.append(user_to_host[key])
             unmapped.extend(ecs_result.uncovered_services)
         elif not self._options.use_ecs_mapping:
             unmapped.extend(s.key for s in scenario.catalog.services)
 
         if self._options.use_catchment_probing:
-            covered = self._map_anycast_services(user_to_host, catchments)
+            covered = self._map_anycast_services(targets, user_to_host,
+                                                 catchments)
             unmapped = [key for key in unmapped if key not in covered]
 
         if tls_result is not None:
@@ -628,7 +639,7 @@ class MapBuilder:
                     self._note("services",
                                f"SNI scan failed ({exc}); per-domain "
                                "footprints unavailable")
-            sites_by_org = self._assemble_sites(tls_result, ecs_result)
+            sites_by_org = self._assemble_sites(tls_result, ecs_columns)
 
         component = ServicesComponent(
             sites_by_org=sites_by_org,
@@ -639,18 +650,19 @@ class MapBuilder:
                 "ecs": ecs_result, "catchments": catchments}
 
     def _map_anycast_services(
-            self, user_to_host: Dict[str, Dict[int, int]],
+            self, targets: np.ndarray,
+            user_to_host: Dict[str, UserHostColumns],
             catchments: Dict[str, CatchmentMeasurement]) -> "set[str]":
-        """Fill user->host entries for anycast services via Verfploeter.
+        """Set the user->host columns of anycast services via Verfploeter.
 
         One catchment campaign per anycast operator covers all of its
-        services (catchments are per-network, not per-service); each
-        operator's measurement lands in ``catchments``. Returns the
-        service keys covered.
+        services (catchments are per-network, not per-service), so the
+        operator's one column pair replaces whatever each of its anycast
+        services held; each operator's measurement lands in
+        ``catchments``. Returns the service keys covered.
         """
         scenario = self._scenario
         covered: "set[str]" = set()
-        targets = scenario.routable_prefix_ids()
         for hg_key, model in scenario.anycast_models.items():
             campaign = VerfploeterCampaign(
                 model, scenario.prefixes,
@@ -667,80 +679,108 @@ class MapBuilder:
                                        f"failed ({exc})")
                 continue
             catchments[hg_key] = measurement
-            site_answer = {site.site_id: site.prefix_ids[0]
-                           for site in model.sites}
-            reached = np.asarray(measurement.site_of_prefix) >= 0
-            pids = np.asarray(measurement.prefix_ids)[reached].tolist()
-            sites = np.asarray(measurement.site_of_prefix)[reached].tolist()
-            mapping: Dict[int, int] = {
-                pid: site_answer[site] for pid, site in zip(pids, sites)}
-            if not mapping:
+            # Site ids are positions in the operator's site list.
+            site_answer = np.array([site.prefix_ids[0]
+                                    for site in model.sites], dtype=np.int64)
+            sites = np.asarray(measurement.site_of_prefix)
+            reached = sites >= 0
+            if not reached.any():
                 continue
+            columns = (np.asarray(measurement.prefix_ids,
+                                  dtype=np.int64)[reached],
+                       site_answer[sites[reached]])
+            for column in columns:  # shared by the operator's services
+                column.flags.writeable = False
             for service in scenario.catalog.services_hosted_by(hg_key):
                 if service.redirection is not RedirectionScheme.ANYCAST:
                     continue
-                user_to_host[service.key] = dict(mapping)
+                user_to_host[service.key] = columns
                 covered.add(service.key)
         return covered
 
     def _assemble_sites(self, tls_result: TlsScanResult,
-                        ecs_result: Optional[EcsMappingResult]
+                        ecs_columns: List[UserHostColumns]
                         ) -> Dict[str, List[MappedSite]]:
         """Turn TLS footprints into located sites.
 
         Site cities are estimated with client-centric geolocation when an
         ECS mapping exists for a service of that organisation; otherwise
         the city stays unknown (honest about precision, per Table 1).
+        ``ecs_columns`` are the ECS services' ``(clients, answers)``
+        columns in campaign order. A site is located from the first
+        :data:`GEOLOCATION_MAX_CLIENTS` clients mapped to it, pooled
+        over those services in that order, once it has at least
+        :data:`GEOLOCATION_MIN_CLIENTS`.
         """
-        scenario = self._scenario
-        prefixes = scenario.prefixes
-        # answer prefix -> client prefixes, pooled over mapped services.
-        clients_of_answer: Dict[int, List[int]] = {}
-        if ecs_result is not None:
-            for mapping in ecs_result.per_service.values():
-                mapped = mapping.answer_pids >= 0
-                answers = mapping.answer_pids[mapped]
-                clients = mapping.client_pids[mapped]
-                # Group clients by answer prefix in one stable sort per
-                # service instead of a Python loop over every pair; the
-                # stable kind keeps each answer's client order identical
-                # to the original insertion order.
-                order = np.argsort(answers, kind="stable")
-                answers = answers[order]
-                clients = clients[order]
-                uniq, starts = np.unique(answers, return_index=True)
-                bounds = list(starts[1:].tolist()) + [len(answers)]
-                for a, s, e in zip(uniq.tolist(), starts.tolist(), bounds):
-                    clients_of_answer.setdefault(a, []).extend(
-                        clients[s:e].tolist())
-        candidate_cities = scenario.atlas.cities
-        sites_by_org: Dict[str, List[MappedSite]] = {}
+        prefixes = self._scenario.prefixes
+        # Mapped clients per answer prefix: one row per service.
+        per_service = np.zeros((len(ecs_columns), len(prefixes)), np.int32)
+        for row, (__, answers) in zip(per_service, ecs_columns):
+            row += np.bincount(answers, minlength=len(prefixes))
+        n_clients = per_service.sum(axis=0)
+        # Which sites of each organisation to locate, in footprint order.
+        plans: Dict[str, List[Tuple[int, bool]]] = {}
+        to_locate: Dict[int, None] = {}     # ordered set
         for org in tls_result.organizations():
             footprint = tls_result.footprint_of(org)
-            sites: List[MappedSite] = []
+            plan = plans[org] = []
             geolocated = 0
-            offnet_pids = set(footprint.offnet_prefixes)
             for pid in (footprint.onnet_prefixes
                         + footprint.offnet_prefixes):
-                city = None
-                if (self._options.geolocate_sites and geolocated
-                        < MAX_GEOLOCATED_SITES_PER_ORG):
-                    client_pids = clients_of_answer.get(pid, [])
-                    if len(client_pids) >= 3:
-                        client_cities = [prefixes.city_of(c)
-                                         for c in client_pids[:500]]
-                        estimate = client_centric_geolocate(
-                            client_cities, candidate_cities)
-                        city = estimate.city
-                        geolocated += 1
-                sites.append(MappedSite(
-                    prefix_id=pid,
-                    asn=prefixes.asn_of(pid),
-                    organization=org,
-                    estimated_city=city,
-                    is_offnet=pid in offnet_pids))
-            sites_by_org[org] = sites
+                locate = bool(self._options.geolocate_sites
+                              and geolocated < MAX_GEOLOCATED_SITES_PER_ORG
+                              and n_clients[pid] >= GEOLOCATION_MIN_CLIENTS)
+                plan.append((pid, locate))
+                if locate:
+                    to_locate[pid] = None
+                    geolocated += 1
+        cities = self._site_cities(list(to_locate), ecs_columns,
+                                   per_service)
+        sites_by_org: Dict[str, List[MappedSite]] = {}
+        for org, plan in plans.items():
+            offnet_pids = set(tls_result.footprint_of(org).offnet_prefixes)
+            sites_by_org[org] = [MappedSite(
+                prefix_id=pid,
+                asn=prefixes.asn_of(pid),
+                organization=org,
+                estimated_city=cities[pid] if locate else None,
+                is_offnet=pid in offnet_pids) for pid, locate in plan]
         return sites_by_org
+
+    def _site_cities(self, pids: List[int],
+                     ecs_columns: List[UserHostColumns],
+                     per_service: np.ndarray) -> Dict[int, City]:
+        """Client-centric city estimates of the site prefixes ``pids``.
+
+        ``per_service[s, pid]`` counts the clients service ``s`` of
+        ``ecs_columns`` maps to ``pid``. The centroid of each site sums
+        the cities of its first clients in campaign order; one distance
+        matrix snaps every centroid to the nearest atlas city.
+        """
+        if not pids:
+            return {}
+        prefixes = self._scenario.prefixes
+        city_lat = np.array([c.lat for c in prefixes.cities])
+        city_lon = np.array([c.lon for c in prefixes.cities])
+        city_index = prefixes.city_index_array
+        lats: List[float] = []
+        lons: List[float] = []
+        for pid in pids:
+            parts: List[np.ndarray] = []
+            wanted = GEOLOCATION_MAX_CLIENTS
+            for svc in np.flatnonzero(per_service[:, pid]).tolist():
+                clients, answers = ecs_columns[svc]
+                parts.append(clients[answers == pid][:wanted])
+                wanted -= parts[-1].size
+                if not wanted:
+                    break
+            where = city_index[np.concatenate(parts)]
+            lat, lon = spherical_centroid(city_lat[where], city_lon[where],
+                                          np.ones(where.size))
+            lats.append(lat)
+            lons.append(lon)
+        located = nearest_cities(lats, lons, self._scenario.atlas.cities)
+        return dict(zip(pids, located))
 
     # -- routes component ------------------------------------------------------
 

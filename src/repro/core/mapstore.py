@@ -153,15 +153,15 @@ OutageImpactAnalyzer` needs; without it outage queries raise. The map's
         self.svc_client_asns: List[Optional[np.ndarray]] = []
         self.svc_answer_asns: List[Optional[np.ndarray]] = []
         for key in self.service_keys:
-            mapping = services.user_to_host[key]
-            clients = np.fromiter(mapping.keys(), dtype=np.int64,
-                                  count=len(mapping))
-            answers = np.fromiter(mapping.values(), dtype=np.int64,
-                                  count=len(mapping))
+            clients, answers = services.user_to_host[key]
             self.svc_clients.append(clients)
             self.svc_answers.append(answers)
             order = np.argsort(clients, kind="stable")
-            self._svc_clients_sorted.append(clients[order])
+            clients_sorted = clients[order]
+            if (clients_sorted[1:] == clients_sorted[:-1]).any():
+                raise ValidationError(
+                    f"service {key!r} lists a client prefix twice")
+            self._svc_clients_sorted.append(clients_sorted)
             self._svc_clients_order.append(order)
             if self.prefix_asn is not None:
                 _check_pid_bounds(clients, self.prefix_asn.size,

@@ -49,7 +49,7 @@ from ..services.tls import Certificate
 from .activity import ActivityEstimate
 from .traffic_map import (ComponentCoverage, InternetTrafficMap,
                           MappedSite, RoutesComponent, ServicesComponent,
-                          UsersComponent)
+                          UserHostColumns, UsersComponent)
 
 FORMAT_VERSION = 2
 
@@ -159,34 +159,42 @@ def _services_to_dict(services: ServicesComponent) -> Dict[str, Any]:
         "serving_asns_by_domain": {
             d: sorted(asns) for d, asns in
             services.serving_asns_by_domain.items()},
-        # Columnar on purpose: the per-service user->host map is the
-        # bulk of the services payload (every client prefix appears in
-        # every mapped service), and parallel int arrays encode, parse
-        # and decode several times faster than a str-keyed object.
+        # Columnar, as the component holds it: the per-service
+        # user->host map is the bulk of the services payload (every
+        # client prefix appears in every mapped service).
         "user_to_host": {
-            key: {"clients": list(mapping.keys()),
-                  "hosts": list(mapping.values())}
-            for key, mapping in services.user_to_host.items()},
+            key: {"clients": clients.tolist(), "hosts": hosts.tolist()}
+            for key, (clients, hosts) in services.user_to_host.items()},
         "unmapped_services": list(services.unmapped_services),
     }
 
 
-def _user_to_host_from(mapping: Any, where: str) -> Dict[int, int]:
+def _user_to_host_from(mapping: Any, where: str) -> UserHostColumns:
     """Decode one service's columnar ``{"clients": [...], "hosts":
-    [...]}`` user->host map, as :func:`_services_to_dict` writes it."""
-    clients = _get(mapping, "clients", list, where)
-    hosts = _get(mapping, "hosts", list, where)
-    if len(clients) != len(hosts):
+    [...]}`` user->host map, as :func:`_services_to_dict` writes it,
+    into its int64 column pair.
+
+    Each column is converted once, with no dtype forced: a list of
+    JSON integers becomes an integer array, while a string, float,
+    ``null`` or an integer past int64 anywhere in it yields another
+    dtype and is refused (``TypeError``, which :func:`map_from_dict`
+    reports under its section).
+    """
+    columns = []
+    for name in ("clients", "hosts"):
+        column = np.asarray(_get(mapping, name, list, where))
+        if column.shape == (0,):    # [] parses as float64
+            column = np.empty(0, dtype=np.int64)
+        if column.ndim != 1 or column.dtype.kind != "i":
+            raise TypeError(f"{where}.{name} must list integers within "
+                            f"int64, got dtype {column.dtype}")
+        columns.append(column.astype(np.int64, copy=False))
+    clients, hosts = columns
+    if clients.size != hosts.size:
         raise ValidationError(
             f"{where} clients/hosts length mismatch: "
-            f"{len(clients)} != {len(hosts)}")
-    # JSON-parsed arrays are already int; coerce only when a
-    # hand-edited artefact says otherwise (these arrays carry
-    # hundreds of thousands of entries at scale, so the per-element
-    # cast is worth skipping).
-    if any(type(v) is not int for v in clients[:1] + hosts[:1]):
-        return dict(zip(map(int, clients), map(int, hosts)))
-    return dict(zip(clients, hosts))
+            f"{clients.size} != {hosts.size}")
+    return clients, hosts
 
 
 def _services_from_dict(raw: Any, where: str,
@@ -330,7 +338,7 @@ def map_from_dict(payload: Dict[str, Any],
             sections[name] = decode(raw, name)
         except ValidationError:
             raise
-        except (ReproError, TypeError, ValueError) as exc:
+        except (ReproError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"map payload {name}: {exc}") from None
 
     metadata: Dict[str, Any] = {"seed": payload.get("seed")}

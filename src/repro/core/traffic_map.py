@@ -61,14 +61,20 @@ class MappedSite:
     is_offnet: bool
 
 
+#: One service's user->host mapping: ``(clients, hosts)``, two 1-D int64
+#: arrays of equal length. ``hosts[i]`` is the answer prefix serving
+#: client prefix ``clients[i]``; each client appears once.
+UserHostColumns = Tuple[np.ndarray, np.ndarray]
+
+
 @dataclass
 class ServicesComponent:
     """Where services are hosted + the user->host mapping."""
 
     sites_by_org: Dict[str, List[MappedSite]]
     serving_asns_by_domain: Dict[str, "set[int]"]
-    # service key -> (client prefix id -> answer prefix id), from ECS.
-    user_to_host: Dict[str, Dict[int, int]]
+    # service key -> (clients, hosts) columns, from ECS or catchments.
+    user_to_host: Dict[str, UserHostColumns]
     unmapped_services: Tuple[str, ...]      # no ECS / anycast / custom URL
 
     def sites_of(self, organization: str) -> List[MappedSite]:
@@ -79,7 +85,12 @@ class ServicesComponent:
 
     def host_for_user(self, service_key: str,
                       client_pid: int) -> Optional[int]:
-        return self.user_to_host.get(service_key, {}).get(client_pid)
+        columns = self.user_to_host.get(service_key)
+        if columns is None:
+            return None
+        clients, hosts = columns
+        hit = np.flatnonzero(clients == client_pid)
+        return int(hosts[hit[0]]) if hit.size else None
 
     def mapped_services(self) -> List[str]:
         return sorted(self.user_to_host)
@@ -151,20 +162,22 @@ class InternetTrafficMap:
     def services_serving_as(self, asn: int) -> List[str]:
         """Which mapped services serve users of this AS, per the ECS
         user-to-host component."""
+        active = np.fromiter(
+            (pid for pid, weight in self.users.activity_by_prefix.items()
+             if weight > 0), dtype=np.int64)
         found: List[str] = []
-        for service_key, mapping in self.services.user_to_host.items():
-            for client_pid, __ in mapping.items():
-                if self.users.prefix_weight(client_pid) > 0 and \
-                        self._prefix_in_as(client_pid, asn):
-                    found.append(service_key)
-                    break
-        return sorted(set(found))
+        for service_key, (clients, __) in self.services.user_to_host.items():
+            users = clients[np.isin(clients, active)]
+            if users.size and self._prefix_in_as(users, asn).any():
+                found.append(service_key)
+        return sorted(found)
 
-    def _prefix_in_as(self, pid: int, asn: int) -> bool:
+    def _prefix_in_as(self, pids, asn: int) -> np.ndarray:
+        """Which of ``pids`` (an int or an array) originate in ``asn``."""
         prefix_asn = self.metadata.get("prefix_asn")
         if prefix_asn is None:
             raise ValidationError("map metadata lacks prefix_asn table")
-        return int(prefix_asn[pid]) == asn
+        return np.asarray(prefix_asn)[pids] == asn
 
     def activity_share_of_ases(self, asns: "set[int]") -> float:
         """Fraction of global activity in an AS set (outage sizing)."""

@@ -268,10 +268,12 @@ class OutageImpactAnalyzer:
         affected_services: List[str] = []
         rerouted: Dict[str, int] = {}
         prefix_asns = self._prefixes.asn_array
-        for service_key, mapping in itm.services.user_to_host.items():
+        for service_key, (clients, hosts) in \
+                itm.services.user_to_host.items():
             serves_here = False
             fallback: Optional[int] = None
-            for client_pid, answer_pid in mapping.items():
+            for client_pid, answer_pid in zip(clients.tolist(),
+                                              hosts.tolist()):
                 client_asn = int(prefix_asns[client_pid])
                 answer_asn = int(prefix_asns[answer_pid])
                 if client_asn == asn:
@@ -456,11 +458,15 @@ def anycast_site_candidates(itm: InternetTrafficMap, service_key: str,
     may be routed instead". Organisations are scanned in sorted order so
     a prefix hosted by several deployments resolves deterministically.
     """
-    mapping = itm.services.user_to_host.get(service_key)
-    if mapping is None:
+    columns = itm.services.user_to_host.get(service_key)
+    if columns is None:
         raise ValidationError(
             f"service {service_key!r} has no user->host mapping")
-    host_pid = mapping.get(int(client_pid))
+    clients, hosts = columns
+    client_pid = int(client_pid)
+    host_pid = next((host for client, host in zip(clients.tolist(),
+                                                   hosts.tolist())
+                     if client == client_pid), None)
     if host_pid is None:
         raise ValidationError(
             f"prefix {client_pid} is not mapped by {service_key!r}")

@@ -132,16 +132,16 @@ def validate_services_component(itm: InternetTrafficMap,
 
     # ECS mapping agreement: answers should equal ground-truth sites.
     agreements = []
-    for service_key, mapping in itm.services.user_to_host.items():
+    for service_key, (clients, hosts) in itm.services.user_to_host.items():
         service = catalog.get(service_key)
         assignment = scenario.mapping.assignment_for_service(service)
         if assignment is None:
             continue
         sites = scenario.mapping.sites_of(service.host_key)
         answer_pid_of_site = {s.site_id: s.prefix_ids[0] for s in sites}
-        sample = list(mapping.items())[:2000]
-        for client_pid, answer_pid in sample:
-            true_site = int(assignment.site_index[client_pid])
+        true_sites = assignment.site_index[clients[:2000]]
+        for answer_pid, true_site in zip(hosts[:2000].tolist(),
+                                         true_sites.tolist()):
             if true_site >= 0:
                 agreements.append(
                     answer_pid == answer_pid_of_site[true_site])

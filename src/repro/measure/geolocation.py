@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import MeasurementError
-from ..net.geography import City, haversine_km
+from ..net.geography import City, haversine_km, haversine_km_matrix
 from ..net.prefixes import PrefixTable
 from .atlas import KM_PER_RTT_MS, RTT_FLOOR_MS, AtlasPlatform, VantagePoint
 
@@ -58,22 +58,38 @@ def client_centric_geolocate(client_cities: Sequence[City],
         w = np.asarray(list(weights), dtype=float)
         if len(w) != len(client_cities) or (w < 0).any() or w.sum() <= 0:
             raise MeasurementError("invalid weights")
-    # Average on the unit sphere to handle longitude wraparound.
-    lats = np.radians([c.lat for c in client_cities])
-    lons = np.radians([c.lon for c in client_cities])
-    x = float((np.cos(lats) * np.cos(lons) * w).sum())
-    y = float((np.cos(lats) * np.sin(lons) * w).sum())
-    z = float((np.sin(lats) * w).sum())
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm <= 0:
-        raise MeasurementError("degenerate client distribution")
-    centroid_lat = math.degrees(math.asin(z / norm))
-    centroid_lon = math.degrees(math.atan2(y, x))
-    best = min(candidates, key=lambda c: (
-        haversine_km(centroid_lat, centroid_lon, c.lat, c.lon), c.name))
+    lat, lon = spherical_centroid([c.lat for c in client_cities],
+                                  [c.lon for c in client_cities], w)
+    best, = nearest_cities([lat], [lon], candidates)
     return GeolocationEstimate(city=best,
                                evidence_count=len(client_cities),
                                method="client-centric")
+
+
+def spherical_centroid(lats: Sequence[float], lons: Sequence[float],
+                       weights: np.ndarray) -> Tuple[float, float]:
+    """The weighted centroid ``(lat, lon)`` of points given in degrees,
+    averaged on the unit sphere to handle longitude wraparound."""
+    lats = np.radians(lats)
+    lons = np.radians(lons)
+    x = float((np.cos(lats) * np.cos(lons) * weights).sum())
+    y = float((np.cos(lats) * np.sin(lons) * weights).sum())
+    z = float((np.sin(lats) * weights).sum())
+    norm = math.sqrt(x * x + y * y + z * z)
+    if norm <= 0:
+        raise MeasurementError("degenerate client distribution")
+    return math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x))
+
+
+def nearest_cities(lats: Sequence[float], lons: Sequence[float],
+                   candidates: Sequence[City]) -> List[City]:
+    """The candidate nearest to each point; equal distances go to the
+    smallest name, as ``min`` over ``(distance, name)`` would pick."""
+    by_name = sorted(candidates, key=lambda c: c.name)
+    dist = haversine_km_matrix(lats, lons, [c.lat for c in by_name],
+                               [c.lon for c in by_name])
+    # argmin takes the first of equal minima: the smallest name.
+    return [by_name[i] for i in dist.argmin(axis=1).tolist()]
 
 
 class RttGeolocator:

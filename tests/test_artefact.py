@@ -148,6 +148,15 @@ def _set_client(payload):
     user_to_host[_first_key(user_to_host)]["clients"][0] = "c"
 
 
+def _set_column(column, value):
+    """A writer editing element 1 of one ``user_to_host`` column: past
+    element 0, so a check of the first element alone misses it."""
+    def edit(payload):
+        user_to_host = payload["services"]["user_to_host"]
+        user_to_host[_first_key(user_to_host)][column][1] = value
+    return edit
+
+
 def _set_city(payload):
     site = next(site for sites in payload["services"]["sites_by_org"]
                 .values() for site in sites if site["city"])
@@ -167,9 +176,13 @@ TAMPERINGS = [
     (_tampered(_set_client), "map payload services"),
     (_tampered(_set_city), "unknown city"),
     (_tampered(_set_serving_asns), "map payload services"),
+    (_tampered(_set_column("clients", "x")), "map payload services"),
+    (_tampered(_set_column("hosts", "x")), "map payload services"),
+    (_tampered(_set_column("clients", 10**30)), "map payload services"),
 ]
 TAMPERING_IDS = ["as-key", "prefix-weight", "detected-prefix", "route-hop",
-                 "client", "unknown-city", "serving-asns"]
+                 "client", "unknown-city", "serving-asns", "client-1",
+                 "host-1", "client-1-overflow"]
 
 
 @pytest.mark.parametrize("write, reason", [

@@ -1,9 +1,14 @@
 """Tests for the map builder pipeline."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.core.builder import BuilderOptions, MapBuilder
+from repro.core.builder import (MAX_GEOLOCATED_SITES_PER_ORG,
+                                BuilderOptions, MapBuilder)
 from repro.errors import ValidationError
+from repro.net.geography import haversine_km
 
 
 class TestBuilderOptions:
@@ -38,6 +43,50 @@ class TestFullBuild:
     def test_geolocated_sites_exist(self, small_itm):
         located = [site for sites in small_itm.services.sites_by_org.values()
                    for site in sites if site.estimated_city is not None]
+        assert located
+
+    def test_site_cities_match_loop_reference(self, small_builder,
+                                              small_itm, small_scenario):
+        """Site geolocation equals the per-pair loop it replaced: pool
+        each answer's clients over services in campaign order, then the
+        spherical centroid of the first 500 client cities, snapped to
+        the nearest atlas city by (distance, name)."""
+        prefixes = small_scenario.prefixes
+        clients_of_answer = {}
+        for mapping in small_builder.artifacts.ecs_result \
+                .per_service.values():
+            for client, answer in zip(mapping.client_pids.tolist(),
+                                      mapping.answer_pids.tolist()):
+                if answer >= 0:
+                    clients_of_answer.setdefault(answer, []).append(client)
+        tls = small_builder.artifacts.tls_result
+        located = 0
+        for org in tls.organizations():
+            footprint = tls.footprint_of(org)
+            pids = footprint.onnet_prefixes + footprint.offnet_prefixes
+            sites = small_itm.services.sites_by_org[org]
+            assert [site.prefix_id for site in sites] == pids
+            geolocated = 0
+            for site, pid in zip(sites, pids):
+                clients = clients_of_answer.get(pid, [])
+                expected = None
+                if geolocated < MAX_GEOLOCATED_SITES_PER_ORG \
+                        and len(clients) >= 3:
+                    cities = [prefixes.city_of(c) for c in clients[:500]]
+                    lats = np.radians([c.lat for c in cities])
+                    lons = np.radians([c.lon for c in cities])
+                    x = float((np.cos(lats) * np.cos(lons)).sum())
+                    y = float((np.cos(lats) * np.sin(lons)).sum())
+                    z = float(np.sin(lats).sum())
+                    lat = math.degrees(math.asin(
+                        z / math.sqrt(x * x + y * y + z * z)))
+                    lon = math.degrees(math.atan2(y, x))
+                    expected = min(small_scenario.atlas.cities,
+                                   key=lambda c: (haversine_km(
+                                       lat, lon, c.lat, c.lon), c.name))
+                    geolocated += 1
+                assert site.estimated_city == expected, (org, pid)
+                located += expected is not None
         assert located
 
     def test_anycast_mapped_via_catchment_probing(self, small_itm,

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.ckpt import (CheckpointError, CheckpointStore, run_supervised)
+from repro.ckpt import store as store_module
 from repro.core.builder import (AUX_STAGES, PRIMARY_STAGES, BuilderOptions,
                                 MapBuilder, checkpoint_stages)
 from repro.core.serialize import (map_to_json, stage_payload_from_dict,
@@ -135,6 +136,36 @@ class TestResume:
         assert lineage.stages_recomputed == ["services"]
         assert [q["stage"] for q in lineage.quarantined] == ["services"]
         assert "layout" in lineage.quarantined[0]["reason"]
+
+    def test_version_3_snapshots_recomputed(self, small_scenario,
+                                            small_itm, tmp_path,
+                                            monkeypatch):
+        """A dir written under envelope 3, whose services snapshot holds
+        ``user_to_host`` as dicts, verifies by every digest; the version
+        check alone keeps it from decoding into the wrong shape."""
+        ckpt = tmp_path / "ckpt"
+        with monkeypatch.context() as old:
+            old.setattr(store_module, "CKPT_FORMAT_VERSION", 3)
+            MapBuilder(small_scenario, checkpoint_dir=ckpt).build()
+            [path] = (ckpt / "snapshots").glob("services.*.json")
+            store, inputs = store_for(path, ckpt)
+            snapshot = store.load("services", None, inputs)
+            value = stage_payload_from_dict("services", snapshot.payload,
+                                            atlas=small_scenario.atlas)
+            u2h = value["component"].user_to_host
+            for key, (clients, hosts) in u2h.items():
+                u2h[key] = dict(zip(clients.tolist(), hosts.tolist()))
+            store.save("services", stage_payload_to_dict("services", value),
+                       snapshot.scopes, snapshot.notes, inputs)
+
+        builder = MapBuilder(small_scenario, checkpoint_dir=ckpt,
+                             resume=True)
+        assert map_to_json(builder.build()) == map_to_json(small_itm)
+        lineage = builder.ckpt_lineage
+        assert lineage.stages_recomputed == list(PRIMARY_STAGES)
+        assert "services" in [q["stage"] for q in lineage.quarantined]
+        assert all("schema version 3 " in q["reason"]
+                   for q in lineage.quarantined)
 
     def test_fault_plan_mismatch_quarantines_everything(
             self, small_scenario, tmp_path):

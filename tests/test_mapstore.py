@@ -101,8 +101,8 @@ class TestBuiltMapIdentity:
     def test_anycast_every_service(self, small_itm, store):
         checked = 0
         for key in store.service_keys:
-            mapping = small_itm.services.user_to_host[key]
-            for pid in list(mapping)[:20]:
+            clients, __ = small_itm.services.user_to_host[key]
+            for pid in clients[:20].tolist():
                 assert uc.anycast_site_candidates(small_itm, key, pid,
                                                   k=4) == \
                     store.anycast_answer(key, pid, k=4)
@@ -113,7 +113,8 @@ class TestBuiltMapIdentity:
         with pytest.raises(ValidationError):
             store.anycast_answer("no-such-service", 0)
         key = store.service_keys[0]
-        unmapped = int(max(small_itm.services.user_to_host[key]) + 1)
+        clients, __ = small_itm.services.user_to_host[key]
+        unmapped = int(clients.max() + 1)
         with pytest.raises(ValidationError):
             store.anycast_answer(key, unmapped)
 
@@ -125,8 +126,8 @@ class TestBuiltMapIdentity:
         for asn in list(users.activity_by_as):
             assert store.as_weight(asn) == users.as_weight(asn)
         key = store.service_keys[0]
-        mapping = small_itm.services.user_to_host[key]
-        for pid, host in list(mapping.items())[:50]:
+        clients, hosts = small_itm.services.user_to_host[key]
+        for pid, host in zip(clients[:50].tolist(), hosts[:50].tolist()):
             assert store.host_for_user(key, pid) == host
         assert store.host_for_user(key, 10**9) is None
         assert store.host_for_user("no-such-service", 0) is None
@@ -229,7 +230,8 @@ class TestDegradedMap:
             assert analyzer.assess_as_outage(asn) == \
                 store.outage_report(asn)
         for key in store.service_keys[:5]:
-            for pid in list(itm.services.user_to_host[key])[:10]:
+            clients, __ = itm.services.user_to_host[key]
+            for pid in clients[:10].tolist():
                 assert uc.anycast_site_candidates(itm, key, pid) == \
                     store.anycast_answer(key, pid)
 
@@ -254,7 +256,7 @@ _weights = st.floats(min_value=0.0, max_value=1.0, allow_nan=False,
 
 @st.composite
 def synthetic_maps(draw):
-    """An arbitrary (valid) dict-based map plus its prefix_asn context."""
+    """An arbitrary (valid) map plus its prefix_asn context."""
     prefix_asn = np.asarray(
         draw(st.lists(_asns, min_size=_N_PREFIXES,
                       max_size=_N_PREFIXES)), dtype=np.int64)
@@ -268,9 +270,12 @@ def synthetic_maps(draw):
                            techniques=("synthetic",))
 
     service_names = st.sampled_from(["svc-a", "svc-b", "svc-c"])
-    user_to_host = draw(st.dictionaries(
-        service_names, st.dictionaries(_pids, _pids, max_size=10),
-        max_size=3))
+    user_to_host = {
+        key: (np.asarray(list(pairs), dtype=np.int64),
+              np.asarray(list(pairs.values()), dtype=np.int64))
+        for key, pairs in draw(st.dictionaries(
+            service_names, st.dictionaries(_pids, _pids, max_size=10),
+            max_size=3)).items()}
     orgs = st.sampled_from(["OrgX", "OrgY"])
     site_entries = st.tuples(_pids, _asns,
                              st.sampled_from(_CITIES + (None,)),
@@ -322,8 +327,8 @@ class TestHypothesisRoundTrip:
                 continue
             _contrasts_equal(ref, store.cdf_contrast(target))
 
-        for key, mapping in itm.services.user_to_host.items():
-            for pid in mapping:
+        for key, (clients, __) in itm.services.user_to_host.items():
+            for pid in clients.tolist():
                 assert uc.anycast_site_candidates(itm, key, pid, k=3) \
                     == store.anycast_answer(key, pid, k=3)
 

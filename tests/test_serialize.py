@@ -35,8 +35,12 @@ class TestRoundTrip:
         loaded = restored.services.sites_by_org[org]
         assert [(s.prefix_id, s.asn, s.is_offnet) for s in original] == \
             [(s.prefix_id, s.asn, s.is_offnet) for s in loaded]
-        assert restored.services.user_to_host == \
-            small_itm.services.user_to_host
+        loaded_u2h = restored.services.user_to_host
+        assert loaded_u2h.keys() == small_itm.services.user_to_host.keys()
+        for key, columns in small_itm.services.user_to_host.items():
+            for got, want in zip(loaded_u2h[key], columns):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want)
 
     def test_site_cities_restored(self, small_itm, small_scenario):
         restored = map_from_json(map_to_json(small_itm),

@@ -41,9 +41,9 @@ class TestServicesComponent:
     def test_host_for_user(self, small_itm):
         services = small_itm.services
         key = services.mapped_services()[0]
-        mapping = services.user_to_host[key]
-        client, answer = next(iter(mapping.items()))
-        assert services.host_for_user(key, client) == answer
+        clients, hosts = services.user_to_host[key]
+        client = int(clients[0])
+        assert services.host_for_user(key, client) == hosts[0]
         assert services.host_for_user("nope", client) is None
 
 
