@@ -39,14 +39,13 @@ Cross-run observability commands (no world is built; see
   drops a finding category (e.g. ``wall`` for cross-machine runs).
 
 Common flags: ``--scale {small,medium,default,scale10,scale50}``,
-``--seed N``, ``--workers N`` (parallel campaign execution across N
-worker processes — the built map is bit-identical for any N; see
-``docs/parallelism.md``), the fault-injection trio ``--faults SPEC`` / ``--fault-seed N`` /
-``--fault-retries N`` (e.g. ``--faults probe_loss=0.2`` builds the map
-under 20% probe loss and reports the degraded coverage), and the
-observability flags ``--metrics PATH`` (write a :class:`repro.obs`
-run-manifest JSON; ``-`` writes it to stdout and moves the command's
-output to stderr so runs pipe straight into ``repro compare``),
+``--seed N``, the fault-injection trio ``--faults SPEC`` /
+``--fault-seed N`` / ``--fault-retries N`` (e.g. ``--faults
+probe_loss=0.2`` builds the map under 20% probe loss and reports the
+degraded coverage), and the observability flags ``--metrics PATH``
+(write a :class:`repro.obs` run-manifest JSON; ``-`` writes it to
+stdout and moves the command's output to stderr so runs pipe straight
+into ``repro compare``),
 ``--trace`` (live span log on stderr), ``--profile-memory`` (per-span
 tracemalloc gauges) and ``--history PATH`` (append the run's manifest
 to a history registry). Any observability flag attaches a recorder and
@@ -143,10 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="world size (default: small)")
     parser.add_argument("--seed", type=int, default=20211110,
                         help="scenario seed (default: 20211110)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for campaign execution; "
-                             "any N yields a bit-identical map "
-                             "(default: 1, serial)")
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="profile the run with cProfile and write "
                              "cumulative-sorted stats to PATH")
@@ -395,16 +390,11 @@ def _prepare(args: argparse.Namespace, recorder: Recorder):
               file=sys.stderr)
     # Instrumented runs also exercise the auxiliary campaigns so the
     # manifest covers every measurement campaign, not just the six the
-    # map components consume. The serialized map is identical either way
-    # (and identical for any --workers count).
+    # map components consume. The serialized map is identical either way.
+    options = None
     if recorder.enabled:
         options = BuilderOptions(run_auxiliary_campaigns=True,
-                                 profile_memory=args.profile_memory,
-                                 workers=args.workers)
-    elif args.workers != 1:
-        options = BuilderOptions(workers=args.workers)
-    else:
-        options = None
+                                 profile_memory=args.profile_memory)
     builder = MapBuilder(scenario, options=options, faults=faults,
                          recorder=recorder,
                          checkpoint_dir=args.checkpoint_dir,

@@ -60,7 +60,6 @@ snapshot load, so a supervised resume always makes progress
 
 from __future__ import annotations
 
-import copy
 import gc
 import itertools
 from dataclasses import dataclass, field
@@ -100,8 +99,8 @@ from ..measure.tlsscan import TLS_SCAN_CAMPAIGN, TlsScanner, TlsScanResult
 from ..net.geography import City
 from ..obs.manifest import (RunManifest, collect_manifest, config_digest,
                             fault_plan_digest, options_digest)
-from ..obs.recorder import NULL_RECORDER, Recorder, resolve_recorder
-from ..par import CampaignExecutor, ShardStreams
+from ..obs.recorder import Recorder, resolve_recorder
+from ..par import ShardStreams
 from ..services.hypergiants import RedirectionScheme
 from ..rand import substream
 from ..scenario import Scenario
@@ -249,19 +248,11 @@ class BuilderOptions:
     # and repro.obs.manifest.options_digest excludes this knob — profiled
     # and plain builds share checkpoints and compare in the run history.
     profile_memory: bool = False
-    # Worker processes for the sharded campaigns (and, with checkpointing
-    # off, the whole auxiliary stages). Randomness binds to fixed shards,
-    # never to workers, so any value here produces the same map
-    # bit-for-bit (see docs/parallelism.md); options_digest excludes it,
-    # letting serial and parallel builds share checkpoints.
-    workers: int = 1
 
     def validate(self) -> None:
         if not (self.use_cache_probing or self.use_root_logs):
             raise ValidationError(
                 "users component needs at least one §3.1.2 technique")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
 
 
 @dataclass
@@ -303,8 +294,6 @@ class MapBuilder:
         self._faults = self._resolve_faults(faults)
         self._notes: Dict[str, List[str]] = {}
         self._recorder = resolve_recorder(recorder)
-        self._executor = CampaignExecutor(self._options.workers,
-                                          recorder=self._recorder)
         self.itm: Optional[InternetTrafficMap] = None
         if self._recorder.enabled:
             # Mirror fault counters and ground-truth route-cache activity
@@ -473,7 +462,6 @@ class MapBuilder:
             prefix_ids=scenario.routable_prefix_ids(),
             rounds_per_day=cfg.probe_rounds_per_day,
             streams=ShardStreams(scenario.config.seed, ("probe-campaign",)),
-            executor=self._executor,
             faults=self._faults, recorder=self._recorder)
         return campaign.run()
 
@@ -481,8 +469,7 @@ class MapBuilder:
         crawler = RootLogCrawler(
             self._scenario.root_archive,
             min_query_threshold=ROOTLOG_MIN_QUERIES,
-            faults=self._faults, recorder=self._recorder,
-            executor=self._executor)
+            faults=self._faults, recorder=self._recorder)
         return crawler.run()
 
     def _stage_cache_probing(self) -> Optional[CacheProbingResult]:
@@ -595,8 +582,7 @@ class MapBuilder:
         if self._options.use_ecs_mapping:
             mapper = EcsMapper(scenario.authoritative, scenario.catalog,
                                scenario.prefixes, faults=self._faults,
-                               recorder=self._recorder,
-                               executor=self._executor)
+                               recorder=self._recorder)
             try:
                 ecs_result = mapper.run(targets)
             except MeasurementError as exc:
@@ -668,7 +654,6 @@ class MapBuilder:
                 model, scenario.prefixes,
                 streams=ShardStreams(scenario.config.seed,
                                      ("builder-verf", hg_key)),
-                executor=self._executor,
                 faults=self._faults, recorder=self._recorder)
             try:
                 measurement = campaign.run(targets)
@@ -954,45 +939,6 @@ class MapBuilder:
             self._note("aux", f"resolver association failed ({exc})")
             return None
 
-    def _run_aux_pool(self, stages: List[Stage],
-                      out: Dict[str, object]) -> None:
-        """Run the auxiliary stages as whole units across the worker pool.
-
-        The §3.1.3/§3.3.2 campaigns draw from their own seed substreams
-        and feed no map component, so they may run side by side. Each
-        wave holds every pending stage whose ``upstream`` outputs are in
-        ``out`` (reverse traceroute waits for the Atlas vantage points).
-        Each worker runs one stage on an isolated builder clone with a
-        fresh fault context and recorder; the parent merges the returned
-        scope states, notes and recorder snapshots *in table order*, so
-        every output this class guarantees bit-identity for is the same
-        as an inline run's.
-        """
-        results: Dict[str, Dict[str, object]] = {}
-        pending = list(stages)
-        while pending:
-            # Upstream stages come earlier in the table, so the first
-            # pending stage is always ready.
-            wave = [s for s in pending if all(u in out for u in s.upstream)]
-            pending = [s for s in pending if s not in wave]
-            inputs = {u: out[u] for s in wave for u in s.upstream}
-            names = [s.name for s in wave]
-            done = self._executor.run(_aux_stage_worker,
-                                      (self, names, inputs), len(wave),
-                                      "aux-stages", chunk_size=1)
-            for name, result in zip(names, done):
-                results[name] = result
-                out[name] = result["artifact"]
-        for stage in stages:
-            result = results[stage.name]
-            for name, state in result["scopes"].items():
-                self._faults.campaign(name).merge_state(state)
-            for component, notes in result["notes"].items():
-                for note in notes:
-                    self._note(component, note)
-            self._recorder.absorb(result["recorder"])
-            self._crash_if_armed(stage.name)
-
     def _keep_artifacts(self, out: Dict[str, object]) -> None:
         """File the stage outputs reports read under :attr:`artifacts`."""
         artifacts, services = self.artifacts, out["services"]
@@ -1048,12 +994,6 @@ class MapBuilder:
             for component, group in itertools.groupby(
                     stages, key=attrgetter("component")):
                 with rec.span(component):
-                    # Checkpointed builds run the aux stages inline too:
-                    # snapshots must be written in table order.
-                    if component == "aux" and self._executor.parallel \
-                            and self._ckpt_store is None:
-                        self._run_aux_pool(list(group), out)
-                        continue
                     for stage in group:
                         out[stage.name] = self._checkpointed(
                             stage, partial(_run_stage, self, stage, out))
@@ -1150,31 +1090,3 @@ def _run_stage(builder: MapBuilder, stage: Stage,
     return _STAGE_COMPUTE[stage.name](
         builder, *(outputs[name] for name in stage.upstream))
 
-
-def _aux_stage_worker(payload: Tuple[MapBuilder, List[str],
-                                     Dict[str, object]],
-                      shard: int) -> Dict[str, object]:
-    """Run one whole auxiliary stage in isolation (pool worker or inline).
-
-    The builder is shallow-cloned and given a fresh fault context (same
-    plan and retry policy — aux campaigns draw from their own named
-    substreams, so the clone reproduces the serial draws exactly), a
-    fresh recorder and empty notes, so nothing the stage does can leak
-    into the parent except through the returned snapshot.
-    """
-    builder, names, inputs = payload
-    stage = STAGE_BY_NAME[names[shard]]
-    clone = copy.copy(builder)
-    clone._faults = FaultContext(builder._faults.plan,
-                                 retry=builder._faults.retry)
-    clone._recorder = Recorder() if builder._recorder.enabled \
-        else NULL_RECORDER
-    clone._notes = {}
-    clone._ckpt_store = None
-    clone.ckpt_lineage = None
-    return {
-        "artifact": _run_stage(clone, stage, inputs),
-        "scopes": clone._faults.export_scopes(stage.campaigns),
-        "notes": {c: list(n) for c, n in clone._notes.items()},
-        "recorder": clone._recorder.snapshot(),
-    }

@@ -26,9 +26,8 @@ Contracts:
 * **Content digest** — :attr:`digest` is the SHA-256 of the map's
   artefact bytes (:func:`~repro.core.serialize.map_to_json`, the one
   encoding), so two stores built from bit-identical maps (fresh vs
-  delta, serial vs ``--workers N``, in-process vs loaded from
-  the artefact) share a digest and an answer cached under one is valid
-  for the other.
+  resumed vs delta, in-process vs loaded from the artefact) share a
+  digest and an answer cached under one is valid for the other.
 """
 
 from __future__ import annotations

@@ -252,13 +252,13 @@ class CampaignFaultScope:
     def merge_state(self, state: Dict[str, object]) -> None:
         """Fold one shard's exported scope into this (parent) scope.
 
-        The parallel executor hands each shard an isolated
-        :meth:`FaultContext.shard_context` clone; the worker returns the
-        shard scope's :meth:`export_state` and the parent merges the
-        snapshots back *in shard order*, so counters (and their recorder
-        mirror) are identical no matter how shards were scheduled. The
-        aggregate tally is reconstructed through :meth:`_bump`, keeping
-        the aggregate == sum-over-kinds invariant.
+        :func:`repro.par.run_campaign` hands each shard an isolated
+        :meth:`FaultContext.shard_context` clone, collects the shard
+        scope's :meth:`export_state` and merges the snapshots back *in
+        shard order*, so counters (and their recorder mirror) depend on
+        the shard decomposition alone. The aggregate tally is
+        reconstructed through :meth:`_bump`, keeping the aggregate ==
+        sum-over-kinds invariant.
         """
         for kind_value, counters in state["by_kind"].items():
             self._bump(FaultKind(kind_value), **counters)
@@ -388,8 +388,8 @@ class FaultContext:
 
         Sharded campaigns give every shard its own context so fault draws
         bind to the shard (``substream(seed, "faults", campaign, kind,
-        "shard", label)``), not to execution order — the precondition for
-        parallel builds matching serial ones bit-for-bit. The clone has no
+        "shard", label)``), not to execution order — so a shard's draws
+        are a function of its label alone. The clone has no
         recorder attached: its counters travel back to the parent scope
         via :meth:`CampaignFaultScope.merge_state`, which does the
         mirroring exactly once.

@@ -32,16 +32,16 @@ from ..errors import MeasurementError
 from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..net.prefixes import PrefixTable
 from ..obs.recorder import Recorder, resolve_recorder
-from ..par import CampaignExecutor, ShardPlan, ShardStreams
+from ..par import ShardPlan, ShardStreams, run_campaign
 from ..services.catalog import Service
 from ..services.dnsinfra import (CacheOracle, GoogleDnsModel,
                                  TemporalCacheOracle)
 
 CACHE_PROBING_CAMPAIGN = "cache-probing"
 
-# Prefixes per shard on the sharded execution path. Part of the
-# determinism contract: randomness binds to shards, so changing this
-# constant changes campaign output (see docs/parallelism.md).
+# Prefixes per shard. Part of the determinism contract: randomness binds
+# to shards, so changing this constant changes campaign output (see
+# docs/parallelism.md).
 CACHE_PROBE_SHARD_SIZE = 8_192
 
 
@@ -173,8 +173,8 @@ class TimedCacheProbing:
 def _probe_shard(campaign: "CacheProbingCampaign", shard: int,
                  scope: CampaignFaultScope
                  ) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """One prefix block of the probing sweep (runs in-process or in a
-    pool worker). Pure function of (campaign inputs, shard index)."""
+    """One prefix block of the probing sweep. Pure function of
+    (campaign inputs, shard index)."""
     lo, hi = campaign._shard_plan.bounds(shard)
     pids = campaign._prefix_ids[lo:hi]
     rng = campaign._streams.stream(shard)
@@ -207,17 +207,15 @@ class CacheProbingCampaign:
     apply the plan's retry policy before giving a unit up.
 
     The sweep is decomposed into fixed-size prefix shards, each drawing
-    from its own substream of ``streams``; results are bit-identical for
-    any worker count of the optional ``executor``. Without one the shards
-    run inline, exactly as the builder runs them at ``workers=1``.
+    from its own substream of ``streams`` and run in shard order, so
+    results depend on the shard decomposition alone.
     """
 
     def __init__(self, oracle: CacheOracle, gdns: GoogleDnsModel,
                  services: Sequence[Service], prefix_ids: np.ndarray,
                  rounds_per_day: int, streams: ShardStreams,
                  faults: Optional[FaultContext] = None,
-                 recorder: Optional[Recorder] = None,
-                 executor: Optional[CampaignExecutor] = None) -> None:
+                 recorder: Optional[Recorder] = None) -> None:
         if rounds_per_day < 1:
             raise MeasurementError("need at least one probe round")
         if len(prefix_ids) == 0:
@@ -232,7 +230,6 @@ class CacheProbingCampaign:
         self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
         self._streams = streams
-        self._executor = executor
         self._shard_plan = ShardPlan(len(self._prefix_ids),
                                      CACHE_PROBE_SHARD_SIZE)
 
@@ -243,10 +240,9 @@ class CacheProbingCampaign:
 
     def _run(self) -> CacheProbingResult:
         rec = self._recorder
-        executor = self._executor or CampaignExecutor(recorder=rec)
-        shards = executor.run_campaign(
+        shards = run_campaign(
             _probe_shard, self, self._shard_plan.n_shards,
-            CACHE_PROBING_CAMPAIGN, self._faults)
+            CACHE_PROBING_CAMPAIGN, self._faults, recorder=rec)
         probes_sent = 0
         delivered_total = 0
         pid_parts: List[np.ndarray] = []

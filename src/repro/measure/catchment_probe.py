@@ -26,13 +26,13 @@ from ..errors import MeasurementError
 from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..net.prefixes import PrefixTable
 from ..obs.recorder import Recorder, resolve_recorder
-from ..par import CampaignExecutor, ShardPlan, ShardStreams
+from ..par import ShardPlan, ShardStreams, run_campaign
 from ..services.anycast import AnycastModel
 
 CATCHMENT_CAMPAIGN = "catchment-probing"
 DEFAULT_RESPONSE_RATE = 0.62   # share of probed /24s that answer ICMP
 
-# Target prefixes per shard on the sharded path (determinism contract:
+# Target prefixes per shard (determinism contract:
 # response/loss draws bind to shards — see docs/parallelism.md).
 CATCHMENT_SHARD_SIZE = 8_192
 
@@ -104,17 +104,15 @@ class VerfploeterCampaign:
     ICMP non-response, shrinking the measured catchments.
 
     The sorted target list is split into fixed-size shards, each drawing
-    from its own substream of ``streams``; results are bit-identical for
-    any worker count of the optional ``executor``. Without one the shards
-    run inline, exactly as the builder runs them at ``workers=1``.
+    from its own substream of ``streams`` and run in shard order, so
+    results depend on the shard decomposition alone.
     """
 
     def __init__(self, model: AnycastModel, prefix_table: PrefixTable,
                  streams: ShardStreams,
                  response_rate: float = DEFAULT_RESPONSE_RATE,
                  faults: Optional[FaultContext] = None,
-                 recorder: Optional[Recorder] = None,
-                 executor: Optional[CampaignExecutor] = None) -> None:
+                 recorder: Optional[Recorder] = None) -> None:
         if not 0.0 < response_rate <= 1.0:
             raise MeasurementError("response_rate must be in (0, 1]")
         self._model = model
@@ -123,7 +121,6 @@ class VerfploeterCampaign:
         self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
         self._streams = streams
-        self._executor = executor
 
     def run(self, target_pids: np.ndarray) -> CatchmentMeasurement:
         with self._recorder.span(f"measure.{CATCHMENT_CAMPAIGN}"):
@@ -135,10 +132,9 @@ class VerfploeterCampaign:
             raise MeasurementError("no targets to probe")
         rec = self._recorder
         plan = ShardPlan(len(targets), CATCHMENT_SHARD_SIZE)
-        executor = self._executor or CampaignExecutor(recorder=rec)
-        shards = executor.run_campaign(
+        shards = run_campaign(
             _catchment_shard, (self, targets, plan), plan.n_shards,
-            CATCHMENT_CAMPAIGN, self._faults)
+            CATCHMENT_CAMPAIGN, self._faults, recorder=rec)
         replies = sum(shard_replies for _, shard_replies in shards)
         sites = np.concatenate([part for part, _ in shards])
         rec.count(f"measure.{CATCHMENT_CAMPAIGN}.probes_sent",

@@ -24,14 +24,14 @@ from ..errors import MeasurementError
 from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..net.prefixes import PrefixTable
 from ..obs.recorder import Recorder, resolve_recorder
-from ..par import CampaignExecutor, ShardPlan
+from ..par import ShardPlan, run_campaign
 from ..services.catalog import Service, ServiceCatalog
 from ..services.dnsinfra import AuthoritativeDns
 from ..services.hypergiants import RedirectionScheme
 
 ECS_MAPPING_CAMPAIGN = "ecs-mapping"
 
-# Client prefixes per shard on the sharded path (determinism contract:
+# Client prefixes per shard (determinism contract:
 # fault draws bind to shards — see docs/parallelism.md).
 ECS_SHARD_SIZE = 16_384
 
@@ -101,24 +101,21 @@ class EcsMapper:
     spent, the affected client prefixes simply have no answer (-1) —
     exactly the partial coverage the paper warns rate limits cause.
 
-    The sweep runs over fixed-size client blocks, every shard visiting
-    the services in catalogue order, so results are bit-identical for any
-    worker count of the optional ``executor``. Without one the shards run
-    inline, exactly as the builder runs them at ``workers=1``.
+    The sweep runs over fixed-size client blocks in shard order, every
+    shard visiting the services in catalogue order, so results depend on
+    the shard decomposition alone.
     """
 
     def __init__(self, authoritative: AuthoritativeDns,
                  catalog: ServiceCatalog,
                  prefix_table: PrefixTable,
                  faults: Optional[FaultContext] = None,
-                 recorder: Optional[Recorder] = None,
-                 executor: Optional[CampaignExecutor] = None) -> None:
+                 recorder: Optional[Recorder] = None) -> None:
         self._auth = authoritative
         self._catalog = catalog
         self._prefixes = prefix_table
         self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
-        self._executor = executor
 
     def run(self, client_pids: np.ndarray,
             services: Optional[List[Service]] = None) -> EcsMappingResult:
@@ -144,10 +141,9 @@ class EcsMapper:
         per_service: Dict[str, ServiceMappingResult] = {}
         if covered:
             plan = ShardPlan(len(pids), ECS_SHARD_SIZE)
-            executor = self._executor or CampaignExecutor(recorder=rec)
-            shards = executor.run_campaign(
+            shards = run_campaign(
                 _ecs_shard, (self, pids, covered, plan), plan.n_shards,
-                ECS_MAPPING_CAMPAIGN, self._faults)
+                ECS_MAPPING_CAMPAIGN, self._faults, recorder=rec)
             for service in covered:
                 answers = np.concatenate(
                     [part[service.key] for part in shards]) \

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import MeasurementError
 from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..obs.recorder import Recorder, resolve_recorder
-from ..par import CampaignExecutor
+from ..par import run_campaign
 from ..services.dnsinfra import RootLogArchive
 
 ROOTLOG_CAMPAIGN = "root-logs"
@@ -99,24 +99,20 @@ class RootLogCrawler:
     """Crawls whatever root logs are publicly usable.
 
     Each usable root is its own shard (truncation draws bind to the
-    root, per-root subtotals merged in root-letter order), so results are
-    bit-identical for any worker count of the optional ``executor``.
-    Without one the shards run inline, exactly as the builder runs them
-    at ``workers=1``.
+    root, per-root subtotals merged in root-letter order), so results
+    depend on the set of usable roots alone.
     """
 
     def __init__(self, archive: RootLogArchive,
                  min_query_threshold: float = 50.0,
                  faults: Optional[FaultContext] = None,
-                 recorder: Optional[Recorder] = None,
-                 executor: Optional[CampaignExecutor] = None) -> None:
+                 recorder: Optional[Recorder] = None) -> None:
         if min_query_threshold < 0:
             raise MeasurementError("threshold must be non-negative")
         self._archive = archive
         self._threshold = min_query_threshold
         self._faults = faults or FaultContext.null()
         self._recorder = resolve_recorder(recorder)
-        self._executor = executor
 
     def run(self) -> RootLogCrawlResult:
         with self._recorder.span(f"measure.{ROOTLOG_CAMPAIGN}"):
@@ -126,10 +122,8 @@ class RootLogCrawler:
         letters = [root.letter for root in self._archive.roots
                    if root.logs_usable]
         rec = self._recorder
-        executor = self._executor or CampaignExecutor(recorder=rec)
-        shards = executor.run_campaign(_crawl_shard, (self, letters),
-                                       len(letters), ROOTLOG_CAMPAIGN,
-                                       self._faults)
+        shards = run_campaign(_crawl_shard, (self, letters), len(letters),
+                              ROOTLOG_CAMPAIGN, self._faults, recorder=rec)
         volume: Dict[int, float] = {}
         public_volume = 0.0
         crawled = 0

@@ -201,10 +201,6 @@ class RunHistory:
                 return entry
         return None
 
-    def comparable_runs(self, key: RunKey) -> List[HistoryEntry]:
-        """Every entry sharing a comparability key, oldest first."""
-        return [e for e in self.entries() if e.key == key]
-
     # -- append -----------------------------------------------------------
 
     def record(self, manifest: Union[RunManifest, Dict[str, object]], *,

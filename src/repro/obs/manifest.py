@@ -224,13 +224,9 @@ def options_digest(options) -> str:
     profiling observes allocations without changing any stage's output,
     so profiled and unprofiled builds of the same options may share
     snapshots and are comparable in the run-history registry.
-    ``workers`` is excluded for the same reason: parallel execution is
-    regression-locked bit-identical to serial, so builds at different
-    worker counts share snapshots and compare cleanly.
     """
     fields = dataclasses.asdict(options)
     fields.pop("profile_memory", None)
-    fields.pop("workers", None)
     payload = json.dumps(fields, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

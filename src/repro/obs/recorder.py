@@ -194,44 +194,17 @@ class Recorder:
         """Record a point-in-time value (last write wins)."""
         self.gauges[name] = value
 
-    # -- worker hand-off ---------------------------------------------------
+    # -- export -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """Picklable dump of everything recorded so far.
-
-        Pool workers running whole stages record into their own fresh
-        recorder, ship the snapshot home, and the parent folds it in
-        with :meth:`absorb`.
-        """
+        """Plain-data dump of everything recorded so far: spans as
+        ``(path, label, calls, wall)`` tuples, counters and gauges."""
         return {
             "spans": [(path, label, calls, wall)
                       for path, (label, calls, wall) in self._spans.items()],
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
         }
-
-    def absorb(self, snapshot: Dict[str, object]) -> None:
-        """Fold a child recorder's :meth:`snapshot` into this one.
-
-        Span paths are re-rooted under the currently open span, counters
-        accumulate and gauges stay last-write-wins, so a stage executed
-        in a pool worker reports exactly like one executed inline (call
-        absorb in the stages' inline order to keep ordering-sensitive
-        state — span insertion order — identical).
-        """
-        base = ".".join(self._stack)
-        for path, label, calls, wall in snapshot["spans"]:
-            full = f"{base}.{path}" if base else path
-            entry = self._spans.get(full)
-            if entry is None:
-                self._spans[full] = [label, calls, wall]
-            else:
-                entry[1] += calls
-                entry[2] += wall
-        for name, delta in snapshot["counters"].items():
-            self.count(name, delta)
-        for name, value in snapshot["gauges"].items():
-            self.gauge(name, value)
 
 
 class NullRecorder(Recorder):
@@ -265,9 +238,6 @@ class NullRecorder(Recorder):
 
     def snapshot(self) -> Dict[str, object]:
         return {"spans": [], "counters": {}, "gauges": {}}
-
-    def absorb(self, snapshot: Dict[str, object]) -> None:
-        pass
 
     def start_memory_profiling(self) -> None:
         # Never starts tracemalloc: the null recorder observes nothing.

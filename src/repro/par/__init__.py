@@ -1,5 +1,5 @@
-"""Deterministic parallel campaign execution (see :mod:`.executor`)."""
+"""Deterministic sharded campaign execution (see :mod:`.executor`)."""
 
-from .executor import CampaignExecutor, ShardPlan, ShardStreams
+from .executor import ShardPlan, ShardStreams, run_campaign, run_shards
 
-__all__ = ["CampaignExecutor", "ShardPlan", "ShardStreams"]
+__all__ = ["ShardPlan", "ShardStreams", "run_campaign", "run_shards"]

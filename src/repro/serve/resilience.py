@@ -281,17 +281,6 @@ class AdmissionGate:
         """A fresh per-request deadline on this gate's clock."""
         return Deadline(self.deadline_s, clock=self._clock)
 
-    def wait_idle(self, timeout: float = 10.0) -> bool:
-        """Block until no request is inside the gate (drain support)."""
-        deadline = time.monotonic() + timeout
-        with self._lock:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._drained.wait(remaining)
-            return True
-
 
 class _Admission:
     """The context manager :meth:`AdmissionGate.admit` returns."""

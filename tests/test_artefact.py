@@ -3,7 +3,7 @@
 The contract (docs/serving.md, "The artefact and its digest"): every
 writer emits exactly :func:`map_to_json`'s bytes, the served digest is
 their SHA-256, and :func:`load_store` hashes what it read instead of
-re-encoding the map. A fresh, a parallel, a resumed and a delta build of
+re-encoding the map. A fresh, a resumed and a delta build of
 one world therefore serve one digest; an artefact in any older or
 indented form is refused, never silently renamed.
 """
@@ -50,10 +50,6 @@ def test_every_build_path_serves_one_digest(tmp_path):
     fresh = served_digest(tmp_path / "fresh.json",
                           *cli_build(tmp_path / "fresh.json"))
 
-    parallel = served_digest(
-        tmp_path / "workers.json",
-        *cli_build(tmp_path / "workers.json", "--workers", "2"))
-
     resumed_path = tmp_path / "resumed.json"
     with pytest.raises(SimulatedCrash):
         cli_build(resumed_path, "--checkpoint-dir", ckpt,
@@ -63,7 +59,7 @@ def test_every_build_path_serves_one_digest(tmp_path):
         resumed_path,
         *cli_build(resumed_path, "--checkpoint-dir", ckpt, "--resume"))
 
-    assert fresh == parallel == resumed
+    assert fresh == resumed
 
     plan = tmp_path / "plan.json"
     MutationPlan(mutations=(ActivitySwing(prefix_ids=(0, 1, 2, 3, 4),

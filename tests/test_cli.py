@@ -19,19 +19,11 @@ class TestCli:
         assert "Internet Traffic Map" in out
         assert "activity share" in out
 
-    def test_summary_with_workers(self, capsys):
-        assert main(["--scale", "small", "--workers", "2",
-                     "summary"]) == 0
-        assert "activity share" in capsys.readouterr().out
-
-    def test_workers_flag_reaches_instrumented_manifest(self, tmp_path,
-                                                        capsys):
-        metrics = tmp_path / "m.json"
-        assert main(["--scale", "small", "--workers", "2",
-                     "--metrics", str(metrics), "summary"]) == 0
-        capsys.readouterr()
-        counters = json.loads(metrics.read_text())["counters"]
-        assert counters["par.aux-stages.parallel_sections"] >= 1
+    def test_workers_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--workers", "2", "summary"])
+        assert excinfo.value.code == 2
+        assert "repro: error:" in capsys.readouterr().err
 
     def test_table1(self, capsys):
         assert main(["--scale", "small", "table1"]) == 0

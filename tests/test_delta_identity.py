@@ -1,10 +1,10 @@
 """Snapshot reuse is one identity, locked by one matrix.
 
 Whatever the checkpoint dir holds, a build with reuse on equals a fresh
-serial build of the current world: map, campaign records (minus the
+build of the current world: map, campaign records (minus the
 execution provenance ``wall_s``/``ran``) and coverage (docs/delta.md).
-Every cell runs :func:`reuse_case` over three axes — what the dir holds
-first (``prior``), a ``crash`` stage or none, and ``workers``. A cell
+Every cell runs :func:`reuse_case` over two axes — what the dir holds
+first (``prior``) and a ``crash`` stage or none. A cell
 with a mutation plan builds its own world; plan-free cells share one
 per seed, since builds never change a world's substrate.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import tempfile
-from dataclasses import replace
 
 import pytest
 
@@ -79,7 +78,7 @@ def identity(builder, itm):
 
 @functools.lru_cache(maxsize=None)
 def fresh_identity(seed, plan, faults, options):
-    """The :func:`identity` of a fresh serial build of the mutated world."""
+    """The :func:`identity` of a fresh build of the mutated world."""
     reference = world(seed)
     apply_mutation_plan(reference, plan)
     builder = MapBuilder(reference, options=options, faults=faults,
@@ -88,7 +87,7 @@ def fresh_identity(seed, plan, faults, options):
 
 
 def reuse_case(seed, plan, faults=None, options=None, *,
-               prior="pre-mutation", crash=None, workers=1):
+               prior="pre-mutation", crash=None):
     """Run one matrix cell; returns the completing builder.
 
     The dir first holds ``prior`` ("none", the "same" world, or the
@@ -97,7 +96,6 @@ def reuse_case(seed, plan, faults=None, options=None, *,
     """
     options = options or BuilderOptions()
     fresh = fresh_identity(seed, plan, faults, options)
-    options = replace(options, workers=workers)
     scenario = world(seed) if len(plan) else probe(seed)
     with tempfile.TemporaryDirectory(prefix="reuse-ident-") as root:
         def build(**reuse):
@@ -172,20 +170,20 @@ class TestChurnMatrix:
     # Cells the old crash and churn suites never ran. A crash fires only
     # after a compute, so one at a stage whose snapshot is current never
     # fires; no mutation dirties root-logs, so its cell has an empty dir.
-    @pytest.mark.parametrize("plan_key, prior, crash, workers", [
-        ("swing-40", "pre-mutation", "cache-probing", 1),
-        ("composite", "none", "root-logs", 2),
-        ("swing-40", "pre-mutation", "users", 1),
-        ("composite", "pre-mutation", "services", 1),
-        ("swing-40", "pre-mutation", "routes", 2),
-        ("composite", "pre-mutation", None, 2),
-        ("none", "same", "services", 2),
+    @pytest.mark.parametrize("plan_key, prior, crash", [
+        ("swing-40", "pre-mutation", "cache-probing"),
+        ("composite", "none", "root-logs"),
+        ("swing-40", "pre-mutation", "users"),
+        ("composite", "pre-mutation", "services"),
+        ("swing-40", "pre-mutation", "routes"),
+        ("composite", "pre-mutation", None),
+        ("none", "same", "services"),
     ])
-    def test_reuse_cell(self, plan_key, prior, crash, workers):
+    def test_reuse_cell(self, plan_key, prior, crash):
         plan = (composite_plan(probe(SEEDS[0])) if plan_key == "composite"
                 else {"none": NO_PLAN, "swing-40": SWING_40}[plan_key])
         reuse_case(SEEDS[0], plan, FAULTS["faulty"], prior=prior,
-                   crash=crash, workers=workers)
+                   crash=crash)
 
 
 class TestChurnSequences:

@@ -349,6 +349,15 @@ def test_options_digest_ignores_profile_memory():
         options_digest(BuilderOptions())
 
 
+def test_options_digest_pinned():
+    """Snapshot envelopes carry this digest: a drift would make every
+    existing checkpoint dir fail to resume."""
+    from repro.obs import options_digest
+    assert options_digest(BuilderOptions()) == "a025fd004a055c5b"
+    assert options_digest(BuilderOptions(
+        run_auxiliary_campaigns=True)) == "baeafc02946599a5"
+
+
 def test_plain_manifest_has_no_memory_gauges(instrumented):
     gauges = instrumented.manifest().gauges
     assert not any(name.startswith("mem.") for name in gauges)

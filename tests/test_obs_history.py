@@ -177,7 +177,7 @@ class TestRunHistory:
             history.get(5)
         assert "2 entries" in str(err.value)
 
-    def test_latest_and_comparable_runs_filter_by_key(self, tmp_path):
+    def test_latest_filters_by_key(self, tmp_path):
         history = RunHistory(tmp_path / "h.jsonl")
         history.record(make_payload(), label="a")
         history.record(make_payload(config_hash="feedfacefeedface"),
@@ -186,8 +186,8 @@ class TestRunHistory:
         key = RunKey(config=CONFIG_HASH)
         assert history.latest().label == "b"
         assert history.latest(key).label == "b"
-        assert [e.label for e in history.comparable_runs(key)] == \
-            ["a", "b"]
+        other = RunKey(config="feedfacefeedface")
+        assert history.latest(other).label == "other"
 
     def test_concurrent_appends_all_survive(self, tmp_path):
         history = RunHistory(tmp_path / "h.jsonl")

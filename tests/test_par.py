@@ -1,19 +1,14 @@
-"""repro.par: the deterministic parallel-execution layer.
+"""repro.par: deterministic sharded campaign execution.
 
-Covers the executor mechanics (shard decomposition, inline/parallel
-equivalence, chunk-size invariance, counters, exception-safe pool
-teardown) and pins the two guarantees the sharding contract rests on
-with hypothesis:
-
-* shard substreams are pairwise non-overlapping in their first draws —
-  randomness binds to the shard index, never to scheduling;
-* re-chunking (any chunk size, any worker count, same seed) reduces to
-  identical campaign results.
+Covers the shard mechanics (decomposition, counters, the per-shard fault
+hand-off of :func:`run_campaign`) and pins the guarantee the sharding
+contract rests on with hypothesis: shard substreams are pairwise
+non-overlapping in their first draws — randomness binds to the shard
+index, never to execution order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import re
 from pathlib import Path
 
@@ -21,23 +16,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultContext, FaultKind, FaultPlan
-from repro.obs import Recorder
-from repro.par import CampaignExecutor, ShardPlan, ShardStreams
+from repro.obs import NULL_RECORDER, Recorder
+from repro.par import ShardPlan, ShardStreams, run_campaign, run_shards
 
 MEASURE = Path(__file__).resolve().parent.parent / "src" / "repro" / \
     "measure"
 
 
 def _square(payload: int, shard: int) -> int:
-    """Trivial picklable shard fn: payload + shard**2."""
+    """Trivial shard fn: payload + shard**2."""
     return payload + shard * shard
-
-
-def _draw(payload, shard: int) -> float:
-    """Shard fn whose result is a stochastic draw from the shard's own
-    substream — the shape every sharded campaign reduces to."""
-    streams = payload
-    return float(streams.stream(shard).random())
 
 
 def _lossy(payload: int, shard: int, scope) -> int:
@@ -45,10 +33,17 @@ def _lossy(payload: int, shard: int, scope) -> int:
     return int(scope.survive_mask(FaultKind.PROBE_LOSS, payload).sum())
 
 
-def _boom(payload, shard: int):
-    if shard == payload:
+def _survivors(payload: int, shard: int, scope) -> list:
+    """Scoped shard fn: the survive mask of ``payload`` probes."""
+    return scope.survive_mask(FaultKind.PROBE_LOSS, payload).tolist()
+
+
+def _lossy_then_boom(payload: int, shard: int, scope) -> int:
+    """Draws like :func:`_lossy`, then shard 2 raises."""
+    value = _lossy(payload, shard, scope)
+    if shard == 2:
         raise ValueError(f"shard {shard} exploded")
-    return shard
+    return value
 
 
 class TestShardPlan:
@@ -73,57 +68,59 @@ class TestShardPlan:
 
 
 class TestCampaignExecutor:
-    def test_workers_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CampaignExecutor(0)
+    """:func:`run_shards`, the inline shard loop."""
 
-    def test_inline_and_parallel_agree(self):
-        serial = CampaignExecutor(1).run(_square, 100, 9, "t")
-        parallel = CampaignExecutor(3).run(_square, 100, 9, "t")
-        assert serial == parallel == [100 + i * i for i in range(9)]
+    def test_shards_run_in_order(self):
+        assert run_shards(_square, 100, 9, "t", NULL_RECORDER) == \
+            [100 + i * i for i in range(9)]
 
     def test_empty_run_returns_nothing(self):
-        assert CampaignExecutor(2).run(_square, 0, 0, "t") == []
+        assert run_shards(_square, 0, 0, "t", NULL_RECORDER) == []
 
     def test_counters_mirrored_onto_recorder(self):
         rec = Recorder()
-        CampaignExecutor(2, recorder=rec).run(_square, 0, 8, "t",
-                                              chunk_size=3)
+        run_shards(_square, 0, 8, "t", rec)
         assert rec.counters["par.t.shards"] == 8
-        assert rec.counters["par.t.chunks"] == 3
-        assert rec.counters["par.t.parallel_sections"] == 1
         assert rec.stage("par.t") is not None
-
-    def test_raising_shard_propagates_and_leaks_no_children(self):
-        executor = CampaignExecutor(2)
-        with pytest.raises(ValueError, match="exploded"):
-            executor.run(_boom, 1, 6, "t", chunk_size=1)
-        # Exception-safe teardown: the finally-shutdown reaps every
-        # worker, so a faulted campaign can't wedge the checkpoint
-        # supervisor's restart loop behind orphaned children.
-        assert multiprocessing.active_children() == []
-
-    def test_pool_reaped_after_clean_run(self):
-        CampaignExecutor(2).run(_square, 0, 6, "t")
-        assert multiprocessing.active_children() == []
 
 
 class TestRunCampaign:
-    def _run(self, workers: int):
-        faults = FaultContext(FaultPlan(seed=7, probe_loss=0.3))
+    PLAN = FaultPlan(seed=7, probe_loss=0.3)
+
+    def test_merge_counts_units_giveups_and_mirrors_once(self):
+        faults = FaultContext(self.PLAN)
         rec = Recorder()
         faults.attach_recorder(rec)
-        values = CampaignExecutor(workers).run_campaign(
-            _lossy, 50, 6, "lossy", faults)
-        return values, faults.campaign("lossy").export_state(), rec
-
-    def test_inline_and_parallel_merge_identical_scopes(self):
-        values, state, rec = self._run(1)
-        assert (values, state) == self._run(3)[:2]
+        values = run_campaign(_lossy, 50, 6, "lossy", faults, rec)
+        state = faults.campaign("lossy").export_state()
         assert state["counters"]["units"] == 6 * 50
         assert sum(values) == 6 * 50 - state["counters"]["giveups"]
         # Shard clones carry no recorder: the parent merge mirrors once.
         assert rec.counters["faults.lossy.units"] == 6 * 50
+        assert rec.counters["par.lossy.shards"] == 6
+
+    def test_shard_draws_match_a_standalone_shard_context(self):
+        faults = FaultContext(self.PLAN)
+        values = run_campaign(_survivors, 40, 5, "lossy", faults,
+                              NULL_RECORDER)
+        standalone = [
+            _survivors(40, shard, FaultContext(self.PLAN).shard_context(
+                ShardStreams.label(shard)).campaign("lossy"))
+            for shard in range(5)]
+        assert values == standalone
+        # Shards draw from distinct streams, not one shared one.
+        assert len({tuple(v) for v in values}) == 5
+
+    def test_raising_shard_leaves_the_parent_scope_unmerged(self):
+        faults = FaultContext(self.PLAN)
+        # Give the parent scope state of its own, so "unchanged" is not
+        # just "still empty".
+        faults.campaign("lossy").survive_mask(FaultKind.PROBE_LOSS, 10)
+        before = faults.campaign("lossy").export_state()
+        with pytest.raises(ValueError, match="exploded"):
+            run_campaign(_lossy_then_boom, 50, 6, "lossy", faults,
+                         NULL_RECORDER)
+        assert faults.campaign("lossy").export_state() == before
 
     def test_measure_modules_leave_the_hand_off_to_the_executor(self):
         """No campaign clones, exports or merges fault scopes itself,
@@ -163,28 +160,3 @@ class TestShardStreamDisjointness:
         first = streams.stream(shard).integers(0, 2**63, size=4)
         again = streams.stream(shard).integers(0, 2**63, size=4)
         assert first.tolist() == again.tolist()
-
-
-class TestRechunkingInvariance:
-    @given(n_shards=st.integers(min_value=2, max_value=24),
-           chunk_size=st.integers(min_value=1, max_value=24),
-           seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=8, deadline=None)
-    def test_rechunking_reduces_to_identical_results(self, n_shards,
-                                                     chunk_size, seed):
-        """Chunking is dispatch only: for a fixed seed, any chunk size
-        (and worker count) merges to the serial shard-order results."""
-        streams = ShardStreams(seed, ("t",))
-        serial = CampaignExecutor(1).run(_draw, streams, n_shards, "t")
-        chunked = CampaignExecutor(2).run(_draw, streams, n_shards, "t",
-                                          chunk_size=chunk_size)
-        assert serial == chunked
-
-    def test_default_and_explicit_chunking_agree(self):
-        streams = ShardStreams(20211110, ("probe-campaign",))
-        results = {
-            tuple(CampaignExecutor(workers).run(_draw, streams, 16, "t",
-                                                chunk_size=chunk))
-            for workers in (1, 2, 4) for chunk in (None, 1, 5, 16)
-        }
-        assert len(results) == 1
