@@ -346,7 +346,8 @@ class RouteTable:
     ``items``) while adding cheap scalar accessors (:meth:`origin_of`,
     :meth:`path_of`, :meth:`kind_of`, :meth:`length_of`,
     :meth:`penultimate_of`) and bulk APIs (:meth:`paths_for`,
-    :meth:`holders`) that avoid per-route object creation. Path tuples
+    :meth:`walk_paths`, :meth:`holders`) that avoid per-route object
+    creation. Path tuples
     are materialized lazily from parent pointers and memoized.
     """
 
@@ -493,6 +494,38 @@ class RouteTable:
             i = self._idx_of(asn)
             out[asn] = self._materialize(i) if i >= 0 else None
         return out
+
+    def walk_paths(self, srcs: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every hop of many sources' paths, walked in lockstep.
+
+        ``srcs`` is an array of ASNs. Returns ``(rows, hops, nexts)``
+        with one entry per AS on each routed source's path: ``rows``
+        indexes ``srcs``, ``hops`` is the AS and ``nexts`` the AS it
+        hands traffic to (``-1`` at the origin). Entries come source by
+        source, each path in :meth:`path_of` order; a source holding no
+        route has none. Follows the parent pointers of all paths one
+        step at a time, without building path tuples.
+        """
+        asns = self._index.asns
+        srcs = np.asarray(srcs, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(asns, srcs), len(asns) - 1)
+        held = (asns[pos] == srcs) & (self._kind[pos] != _KIND_NONE)
+        row = np.flatnonzero(held)
+        cur = pos[row]
+        count = self._path_len[cur].astype(np.int64) + 1
+        at = np.cumsum(count) - count
+        hops = np.empty(int(count.sum()), dtype=np.int64)
+        nexts = np.empty_like(hops)
+        parent = self._parent
+        while cur.size:
+            nxt = parent[cur]
+            hops[at] = cur
+            nexts[at] = nxt
+            keep = nxt >= 0
+            cur, at = nxt[keep], at[keep] + 1
+        return (np.repeat(row, count), asns[hops],
+                np.where(nexts >= 0, asns[nexts], -1))
 
     def holders(self) -> np.ndarray:
         """ASNs holding a route, ascending (dense bulk view)."""

@@ -194,18 +194,6 @@ class Recorder:
         """Record a point-in-time value (last write wins)."""
         self.gauges[name] = value
 
-    # -- export -------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Plain-data dump of everything recorded so far: spans as
-        ``(path, label, calls, wall)`` tuples, counters and gauges."""
-        return {
-            "spans": [(path, label, calls, wall)
-                      for path, (label, calls, wall) in self._spans.items()],
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-        }
-
 
 class NullRecorder(Recorder):
     """The do-nothing default: no state, no timing, no output.
@@ -235,9 +223,6 @@ class NullRecorder(Recorder):
 
     def gauge(self, name: str, value: float) -> None:
         pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"spans": [], "counters": {}, "gauges": {}}
 
     def start_memory_profiling(self) -> None:
         # Never starts tracemalloc: the null recorder observes nothing.

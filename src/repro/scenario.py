@@ -43,7 +43,8 @@ from .services.dnsinfra import (AuthoritativeDns, CacheOracle,
 from .services.hypergiants import PUBLIC_DNS_OPERATOR_KEY, hypergiant_names
 from .services.mapping import GroundTruthMapping
 from .services.tls import CertificateStore, issue_certificates
-from .traffic.flows import FlowAssignment, assign_flows
+from .traffic.flows import (FlowAssignment, FlowIncidence, assign_flows,
+                            build_flow_incidence)
 from .traffic.matrix import TrafficMatrix, build_traffic_matrix
 
 #: The raw-substrate aspects a change can dirty, in canonical order
@@ -85,6 +86,7 @@ class Scenario:
     anycast_models: Dict[str, AnycastModel] = field(init=False)
     mapping: GroundTruthMapping = field(init=False)
     authoritative: AuthoritativeDns = field(init=False)
+    flow_incidence: FlowIncidence = field(init=False)
     flows: FlowAssignment = field(init=False)
     routers: RouterPopulation = field(init=False)
     cache_oracle: CacheOracle = field(init=False)
@@ -190,20 +192,21 @@ def derive_surfaces(scenario: Scenario, aspects: Iterable[str]) -> None:
     Aspect -> surfaces rebuilt:
 
     * ``routing`` — anycast catchment models, ground-truth mapping
-      (+ authoritative DNS), flows, routers, collector public view;
-    * ``activity`` — flows, routers, GDNS cache oracle (+ temporal
-      oracle);
+      (+ authoritative DNS), flow incidence, flows, routers, collector
+      public view;
+    * ``activity`` — flows (the weight fold over the kept incidence),
+      routers, GDNS cache oracle (+ temporal oracle);
     * ``population`` — ground-truth mapping (+ authoritative DNS),
-      flows, routers, cache oracles;
+      flow incidence, flows, routers, cache oracles;
     * ``serving`` — active deployment (filtered from the pristine one),
       anycast models, mapping (+ authoritative DNS), TLS certificate
-      store, flows, routers.
+      store, flow incidence, flows, routers.
 
     The order is generation's and matters: the mapping is rebuilt
-    *before* the flow assignment, whose per-service assignment calls are
+    *before* the flow incidence, whose per-service assignment calls are
     the mapping RNG's first consumers, and the BGP route cache sees the
-    anycast models' lookups before the flows'. An empty ``aspects``
-    rebuilds nothing.
+    anycast models' lookups before the incidence's. An empty
+    ``aspects`` rebuilds nothing.
     """
     dirty = frozenset(aspects)
     if not dirty:
@@ -244,11 +247,13 @@ def derive_surfaces(scenario: Scenario, aspects: Iterable[str]) -> None:
         scenario.certstore = issue_certificates(
             catalog, deployment, prefixes, substream(seed, "tls"))
 
-    # Flows fold traffic x mapping x deployment over BGP routes, and the
-    # router population scales with per-AS flow volume — every aspect
-    # reaches them.
-    scenario.flows = assign_flows(scenario.traffic, scenario.mapping,
-                                  deployment, scenario.bgp)
+    # The flow incidence (where each demand lands, over which path)
+    # follows the mapping. The demand fold over it, and the routers,
+    # which scale with per-AS flow volume, follow every aspect.
+    if routing or serving or population:
+        scenario.flow_incidence = build_flow_incidence(
+            scenario.traffic, scenario.mapping, deployment, scenario.bgp)
+    scenario.flows = assign_flows(scenario.flow_incidence, scenario.traffic)
     scenario.routers = build_routers(topo.registry,
                                      scenario.flows.volume_by_as,
                                      scenario.diurnal,

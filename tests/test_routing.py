@@ -391,3 +391,24 @@ class TestDenseReferenceEquivalence:
         for asn in everyone:
             ref = reference.get(asn)
             assert paths[asn] == (ref.path if ref is not None else None)
+
+    @pytest.mark.parametrize("pick", [0, -1], ids=["unicast", "anycast"])
+    def test_walked_paths_match_reference(self, pick):
+        graph, origin_sets = random_topology(seed=7)
+        origins = origin_sets[pick]
+        table = compute_routes(graph, origins)
+        reference = _compute_routes_reference(graph, origins)
+        srcs = np.array(sorted(graph.asns)[::-1] + [10**6], dtype=np.int64)
+        rows, hops, nexts = table.walk_paths(srcs)
+        assert list(rows) == sorted(rows)
+        walked = {}
+        for row, hop, nxt in zip(rows.tolist(), hops.tolist(),
+                                 nexts.tolist()):
+            walked.setdefault(row, []).append((hop, nxt))
+        for row, asn in enumerate(srcs.tolist()):
+            ref = reference.get(asn)
+            if ref is None:
+                assert row not in walked
+                continue
+            assert tuple(h for h, __ in walked[row]) == ref.path
+            assert [n for __, n in walked[row]] == list(ref.path[1:]) + [-1]

@@ -19,7 +19,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: Every constructor of a derived surface.
 SURFACE_CONSTRUCTORS = (
     "AnycastModel(", "GroundTruthMapping(", "AuthoritativeDns(",
-    "issue_certificates(", "assign_flows(", "build_routers(",
+    "issue_certificates(", "build_flow_incidence(", "assign_flows(",
+    "build_routers(",
     "CacheOracle.calibrated(", "TemporalCacheOracle.from_oracle(",
     "build_public_view(")
 

@@ -295,11 +295,11 @@ class TestMalformedHttp:
                 sock.sendall(b"GET /v1/health")   # never finished
                 deadline = time.monotonic() + 5
                 while time.monotonic() < deadline:
-                    if recorder.snapshot()["counters"].get(
+                    if recorder.counters.get(
                             "serve.http.timeouts"):
                         break
                     time.sleep(0.05)
-            counters = recorder.snapshot()["counters"]
+            counters = recorder.counters
             assert counters.get("serve.http.timeouts", 0) >= 1
         finally:
             httpd.shutdown()
@@ -317,7 +317,7 @@ class TestServiceCacheAndSwap:
         assert first == again
         stats = service.cache_stats()
         assert (stats.hits, stats.misses) == (1, 1)
-        counters = recorder.snapshot()["counters"]
+        counters = recorder.counters
         assert counters["serve.cache.hits"] == 1
         assert counters["serve.cache.misses"] == 1
         assert counters["serve.requests.cdf"] == 2

@@ -96,7 +96,7 @@ class TestAdmissionGate:
                 assert exc.retry_after > 0.0
                 shed += 1
         assert (admitted, shed) == (2, 4)
-        counters = recorder.snapshot()["counters"]
+        counters = recorder.counters
         assert counters["serve.admit.offered"] == 6
         assert counters["serve.admit.admitted"] == 2
         assert counters["serve.admit.shed"] == 4
@@ -126,7 +126,7 @@ class TestAdmissionGate:
             first.__exit__(None, None, None)
         with gate.admit():          # slot freed again
             pass
-        counters = recorder.snapshot()["counters"]
+        counters = recorder.counters
         assert counters["serve.admit.offered"] == 3
         assert counters["serve.admit.admitted"] == 2
         assert counters["serve.admit.shed"] == 1
@@ -141,7 +141,7 @@ class TestAdmissionGate:
             with gate.admit() as admission:
                 clock.advance(0.1)
                 admission.deadline.check()
-        counters = recorder.snapshot()["counters"]
+        counters = recorder.counters
         assert counters["serve.admit.deadline_expired"] == 1
         assert gate.inflight == 0
 
@@ -165,7 +165,7 @@ class TestCircuitBreaker:
         circuit.record_success()
         assert not circuit.is_open
         assert circuit.backoff_interval(1.0) == 1.0
-        counters = recorder.snapshot()["counters"]
+        counters = recorder.counters
         assert counters["serve.watch.circuit_open"] == 1
         assert counters["serve.watch.circuit_close"] == 1
 
@@ -195,7 +195,7 @@ class TestWatcherCircuit:
         watcher.poll_once()
         assert not watcher.circuit.is_open
         assert watcher.poll_interval() == pytest.approx(0.1)
-        counters = recorder.snapshot()["counters"]
+        counters = recorder.counters
         assert counters["serve.watch.errors"] == 2
         assert counters["serve.watch.circuit_open"] == 1
         assert counters["serve.watch.circuit_close"] == 1
@@ -217,7 +217,7 @@ class TestLifecycle:
             with service.admit():
                 pass
         assert excinfo.value.status == 503
-        counters = recorder.snapshot()["counters"]
+        counters = recorder.counters
         assert counters["serve.admit.drained"] >= 1
 
     def test_open_circuit_fails_readiness(self, store):
@@ -255,7 +255,7 @@ def _chaos_setup(store, rate: float = 0.08, chaos_seed: int = 11):
 
 def _lock_counters(recorder):
     """The counters the chaos determinism lock gates on."""
-    counters = recorder.snapshot()["counters"]
+    counters = recorder.counters
     return {name: value for name, value in sorted(counters.items())
             if name.startswith(("serve.admit.", "serve.chaos.",
                                 "serve.watch.circuit_", "faults.serve."))}
