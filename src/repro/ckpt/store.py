@@ -23,7 +23,13 @@ input-digest staleness check) read a few hundred bytes; integrity is
 one hash over the bytes as stored, never a re-encode. The body is then
 parsed, each array reference becoming a writable ndarray over the blob;
 only numeric dtypes inside the blob are accepted, and nothing is ever
-unpickled. Any verification failure *quarantines* the snapshot (moves
+unpickled. An array object that appears in several places of a body
+is written once and every place references the same bytes; on load
+each distinct reference becomes one array object, so the sharing
+survives a round trip. A body that references each occurrence
+separately decodes the same way, one object per reference.
+
+Any verification failure *quarantines* the snapshot (moves
 it to ``quarantine/`` and records the reason in the lineage) and
 reports a miss, so the builder recomputes the stage instead of trusting
 bad data — a wrong map is strictly worse than a slow one. An older
@@ -103,13 +109,21 @@ def _encode_body(body: object) -> Tuple[bytes, List[object]]:
 
     ``json.dumps`` hands each ndarray to ``default``, which appends its
     little-endian bytes (zero-padded to :data:`_ALIGN`) to the blob and
-    writes a ``{dtype, shape, offset}`` reference in its place.
+    writes a ``{dtype, shape, offset}`` reference in its place. An array
+    object met again reuses the reference of its first write, so an
+    array shared between several places in the body is stored once.
     """
     chunks: List[object] = []
     size = 0
+    # id(array) -> (array, ref). Holding the array keeps its id from
+    # being handed to a later object while the encode runs.
+    written: Dict[int, Tuple[np.ndarray, Dict[str, object]]] = {}
 
     def array_ref(value):
         nonlocal size
+        seen = written.get(id(value))
+        if seen is not None:
+            return seen[1]
         if type(value) is not np.ndarray \
                 or value.dtype.kind not in _ARRAY_KINDS:
             raise TypeError(f"cannot snapshot {value!r:.60}")
@@ -121,6 +135,7 @@ def _encode_body(body: object) -> Tuple[bytes, List[object]]:
         pad = -array.nbytes % _ALIGN
         chunks.append(bytes(pad))
         size += array.nbytes + pad
+        written[id(value)] = (value, ref)
         return ref
 
     # Compact and order-preserving: dict insertion order is meaningful
@@ -388,10 +403,18 @@ class CheckpointStore:
             return ("payload digest mismatch (corrupt snapshot)",
                     False, None)
 
+        # One array object per distinct reference, so an array the
+        # encoder wrote once for several places is shared again.
+        arrays: Dict[str, np.ndarray] = {}
+
         def resolve_arrays(obj):
-            if obj.keys() == _ARRAY_REF_KEYS:
-                return _array_at(blob, obj)
-            return obj
+            if obj.keys() != _ARRAY_REF_KEYS:
+                return obj
+            key = repr((obj["dtype"], obj["shape"], obj["offset"]))
+            array = arrays.get(key)
+            if array is None:
+                array = arrays[key] = _array_at(blob, obj)
+            return array
 
         try:
             body = json.loads(body_bytes, object_hook=resolve_arrays)

@@ -596,9 +596,17 @@ class MapBuilder:
         if ecs_result is not None:
             for key, mapping in ecs_result.per_service.items():
                 mapped = mapping.answer_pids >= 0
-                user_to_host[key] = (mapping.client_pids[mapped],
-                                     mapping.answer_pids[mapped])
-                ecs_columns.append(user_to_host[key])
+                if mapped.all():
+                    # The ECS arrays themselves, shared with the result
+                    # (and the client column with every ECS service).
+                    columns = (mapping.client_pids, mapping.answer_pids)
+                    for column in columns:
+                        column.flags.writeable = False
+                else:
+                    columns = (mapping.client_pids[mapped],
+                               mapping.answer_pids[mapped])
+                user_to_host[key] = columns
+                ecs_columns.append(columns)
             unmapped.extend(ecs_result.uncovered_services)
         elif not self._options.use_ecs_mapping:
             unmapped.extend(s.key for s in scenario.catalog.services)

@@ -43,7 +43,7 @@ from ..errors import ValidationError
 from ..scenario import ASPECTS
 
 
-def _sha256(*chunks: bytes) -> str:
+def _sha256(*chunks) -> str:
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
@@ -96,13 +96,14 @@ class SubstrateDigests:
 
     def _activity(self) -> str:
         traffic = self._scenario.traffic
-        return _sha256(
-            np.ascontiguousarray(traffic.queries_per_day).tobytes(),
-            np.ascontiguousarray(traffic.bytes_per_day).tobytes())
+        # hashlib reads each contiguous array's buffer in place, with
+        # no copy of the matrices.
+        return _sha256(np.ascontiguousarray(traffic.queries_per_day),
+                       np.ascontiguousarray(traffic.bytes_per_day))
 
     def _population(self) -> str:
         users = self._scenario.population.users_per_prefix
-        return _sha256(np.ascontiguousarray(users).tobytes())
+        return _sha256(np.ascontiguousarray(users))
 
     def _serving(self) -> str:
         deployment = self._scenario.deployment

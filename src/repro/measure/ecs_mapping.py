@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import MeasurementError
 from ..faults import CampaignFaultScope, FaultContext, FaultKind
 from ..net.prefixes import PrefixTable
 from ..obs.recorder import Recorder, resolve_recorder
@@ -44,21 +43,6 @@ class ServiceMappingResult:
     client_pids: np.ndarray
     answer_pids: np.ndarray     # -1 where no usable answer
 
-    def mapped_fraction(self) -> float:
-        return float((self.answer_pids >= 0).mean())
-
-    def answer_asns(self, prefix_table: PrefixTable) -> np.ndarray:
-        """Origin AS of each answer address (-1 where unmapped)."""
-        out = np.full(len(self.answer_pids), -1, dtype=np.int64)
-        mapped = self.answer_pids >= 0
-        out[mapped] = prefix_table.asn_array[self.answer_pids[mapped]]
-        return out
-
-    def clients_of_answer_prefix(self, answer_pid: int) -> np.ndarray:
-        """Client prefixes mapped to one serving prefix (for
-        client-centric geolocation, §3.2.2 approach 3)."""
-        return self.client_pids[self.answer_pids == answer_pid]
-
 
 @dataclass
 class EcsMappingResult:
@@ -66,12 +50,6 @@ class EcsMappingResult:
 
     per_service: Dict[str, ServiceMappingResult]
     uncovered_services: List[str]     # no ECS / not DNS-redirected
-
-    def coverage_by_service_count(self) -> float:
-        total = len(self.per_service) + len(self.uncovered_services)
-        if total == 0:
-            raise MeasurementError("no services attempted")
-        return len(self.per_service) / total
 
 
 def _ecs_shard(payload: Tuple["EcsMapper", np.ndarray, List[Service],

@@ -120,7 +120,8 @@ def _summary(latencies_ns: List[int], wall_seconds: float,
     # Shed requests never produced an answer, so they carry no latency
     # sample and are excluded from throughput.
     count = len(latencies_ns)
-    # The server's estimator (one bucket ratio of error); max is exact.
+    # The server's estimator (one bucket ratio of error); max is the
+    # slowest sample, read from the same histogram so p99 <= max.
     hist = Histogram()
     for latency_ns in latencies_ns:
         hist.record(latency_ns / 1e9)
@@ -135,7 +136,7 @@ def _summary(latencies_ns: List[int], wall_seconds: float,
             "p50": hist.quantile(0.5) * 1e3,
             "p90": hist.quantile(0.9) * 1e3,
             "p99": hist.quantile(0.99) * 1e3,
-            "max": max(latencies_ns) / 1e6 if count else 0.0,
+            "max": hist.max * 1e3 if count else 0.0,
         },
     }
 

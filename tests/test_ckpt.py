@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.ckpt import (CheckpointError, CheckpointStore, run_supervised)
@@ -223,6 +224,40 @@ class TestResume:
             assert rewritten.read_bytes().split(BODY_MARKER, 1)[1] == body, \
                 stage
 
+    def test_per_occurrence_layout_still_resumes(self, small_scenario,
+                                                 small_itm, tmp_path):
+        """A services snapshot that writes each array occurrence apart,
+        as envelope 4 did before shared arrays were stored once, still
+        verifies and decodes: reused, nothing quarantined."""
+        ckpt = tmp_path / "ckpt"
+        MapBuilder(small_scenario, checkpoint_dir=ckpt).build()
+        [path] = (ckpt / "snapshots").glob("services.*.json")
+        store, inputs = store_for(path, ckpt)
+        snapshot = store.load("services", None, inputs)
+        copies = []
+
+        def unshared(node):
+            if isinstance(node, np.ndarray):
+                copies.append(node.copy())
+                return copies[-1]
+            if isinstance(node, dict):
+                return {k: unshared(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return [unshared(v) for v in node]
+            return node
+
+        size = path.stat().st_size
+        resaved = store.save("services", unshared(snapshot.payload),
+                             snapshot.scopes, snapshot.notes, inputs)
+        assert resaved.stat().st_size > 2 * size
+
+        builder = MapBuilder(small_scenario, checkpoint_dir=ckpt,
+                             resume=True)
+        assert map_to_json(builder.build()) == map_to_json(small_itm)
+        lineage = builder.ckpt_lineage
+        assert "services" in lineage.stages_reused
+        assert not lineage.quarantined
+
     @pytest.mark.parametrize("tamper", [
         {"payload": {"tampered": True}},                    # missing key
         {"payload": {"Evil": {}}},                          # unknown class
@@ -303,6 +338,33 @@ class TestStore:
         assert snapshot.payload == {"x": [1, 2]}
         assert snapshot.scopes == scopes
         assert snapshot.notes == notes
+
+    @staticmethod
+    def blob_size(path) -> int:
+        raw = path.read_bytes()
+        body = raw.index(BODY_MARKER) + len(BODY_MARKER)
+        size = snapshot_meta(path)["body_bytes"]
+        return len(raw) - body - size - len(b"}\n")
+
+    def test_shared_array_written_once(self, tmp_path):
+        store = self.make(tmp_path)
+        column = np.arange(100, dtype=np.int64)
+        path = store.save("users", {"a": column, "b": [column]}, {}, {},
+                          INPUTS)
+        assert self.blob_size(path) == column.nbytes
+        payload = store.load("users", None, INPUTS).payload
+        assert payload["a"] is payload["b"][0]
+        assert payload["a"].tolist() == column.tolist()
+
+    def test_equal_distinct_arrays_written_apart(self, tmp_path):
+        store = self.make(tmp_path)
+        column = np.arange(100, dtype=np.int64)
+        path = store.save("users", {"a": column, "b": column.copy()}, {},
+                          {}, INPUTS)
+        assert self.blob_size(path) == 2 * column.nbytes
+        payload = store.load("users", None, INPUTS).payload
+        assert payload["a"] is not payload["b"]
+        assert payload["a"].tolist() == payload["b"].tolist()
 
     def test_missing_snapshot_is_plain_miss(self, tmp_path):
         store = self.make(tmp_path)

@@ -253,6 +253,21 @@ class TestMutationValidation:
 # Round trip: plan + inverse restores the world (satellite: hypothesis)
 # ---------------------------------------------------------------------------
 
+def test_aspect_digests_pinned(small_scenario):
+    """Stage input digests chain these: a drift would make every
+    existing checkpoint dir stale on resume."""
+    assert SubstrateDigests(small_scenario).all() == {
+        "routing": "1cf614601f179cce76b4f5861e0375c3"
+                   "a307c9348346bc9e545d23937658de32",
+        "activity": "c6f6c16d76d412f3b99b8b13624b16e5"
+                    "a53284d03bca5f5303f455e83506381f",
+        "population": "7354c4dc52e0040ba8c1a889889b6f67"
+                      "1f03da3c1314dba6cff541ed21105c58",
+        "serving": "ed63763712584361c90b4cb06bd13180"
+                   "1f571c8957f1fc721969a977e8c2a527",
+    }
+
+
 class TestRoundTrip:
     def test_plan_plus_inverse_restores_digests_and_map(self, tmp_path):
         scenario = small_world()

@@ -31,6 +31,7 @@ from repro.serve import (ArtefactWatcher, MapArtefactError, MapService,
                          Query, QueryError, VirtualClock, load_store,
                          replay, replay_http, run_chaos, seeded_queries,
                          serve_http)
+from repro.serve.loadgen import _summary
 
 
 @pytest.fixture(scope="module")
@@ -518,6 +519,12 @@ class TestLoadgen:
         stats = service.cache_stats()
         assert summary["cache"]["hits"] == stats.hits
         assert stats.hits + stats.misses > 0
+
+    def test_summary_p99_never_exceeds_max(self):
+        # 63573266 ns: p99 read in seconds and scaled to ms once came
+        # out one ulp above max computed straight from nanoseconds.
+        latency = _summary([63573266], 1.0)["latency_ms"]
+        assert latency["p50"] <= latency["p99"] <= latency["max"]
 
     def test_replay_http_agrees_with_service(self, server, store):
         queries = seeded_queries(store, 40, seed=9)

@@ -91,3 +91,35 @@ def test_client_columns_unique_per_service(small_scenario, small_itm,
     for key, (clients, hosts) in itm.services.user_to_host.items():
         assert clients.size == hosts.size
         assert np.unique(clients).size == clients.size, key
+
+
+def test_fully_mapped_ecs_columns_are_the_ecs_arrays(small_builder):
+    """A service ECS maps completely keeps the campaign's own arrays as
+    its user->host pair, read-only because they are shared."""
+    ecs = small_builder.artifacts.ecs_result
+    user_to_host = small_builder.itm.services.user_to_host
+    assert ecs.per_service
+    for key, mapping in ecs.per_service.items():
+        assert (mapping.answer_pids >= 0).all(), key
+        clients, hosts = user_to_host[key]
+        assert clients is mapping.client_pids
+        assert hosts is mapping.answer_pids
+        assert not clients.flags.writeable and not hosts.flags.writeable
+
+
+def test_partially_mapped_ecs_columns_are_copies(small_scenario):
+    builder = MapBuilder(small_scenario,
+                         faults=FaultPlan.parse("all=0.05", seed=7))
+    user_to_host = builder.build().services.user_to_host
+    partial = {key: mapping for key, mapping in
+               builder.artifacts.ecs_result.per_service.items()
+               if (mapping.answer_pids < 0).any()}
+    assert partial
+    for key, mapping in partial.items():
+        clients, hosts = user_to_host[key]
+        mapped = mapping.answer_pids >= 0
+        assert not np.shares_memory(clients, mapping.client_pids)
+        assert not np.shares_memory(hosts, mapping.answer_pids)
+        assert (hosts >= 0).all()
+        assert np.array_equal(clients, mapping.client_pids[mapped])
+        assert np.array_equal(hosts, mapping.answer_pids[mapped])
